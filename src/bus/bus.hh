@@ -30,7 +30,6 @@
 
 #include "mem/memory_controller.hh"
 #include "sim/event_queue.hh"
-#include "sim/snapshot.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
 
@@ -180,7 +179,7 @@ struct BusParams
  * coherence hook) execute inside bus events in deterministic agent
  * order.
  */
-class Bus : public Snapshottable
+class Bus
 {
   public:
     Bus(const std::string &name, EventQueue &eq, const BusParams &p);
@@ -270,32 +269,6 @@ class Bus : public Snapshottable
 
     stats::Group &statGroup() { return statGroup_; }
 
-    // --- speculative checkpointing (full copy: all state is small
-    // and transient — open transactions, grant queue, timers) ---
-
-    std::shared_ptr<const void>
-    specSave(std::size_t &bytes) override
-    {
-        auto s = std::make_shared<Snap>(
-            Snap{pendingGrants_, open_, nextId_, granted_,
-                 nextStrobeAllowed_, dataBusFreeAt_});
-        bytes += sizeof(Snap) + s->open.size() * sizeof(BusTxn) +
-                 s->pendingGrants.size() * sizeof(std::uint64_t);
-        return s;
-    }
-
-    void
-    specRestore(const void *snap) override
-    {
-        const Snap *s = static_cast<const Snap *>(snap);
-        pendingGrants_ = s->pendingGrants;
-        open_ = s->open;
-        nextId_ = s->nextId;
-        granted_ = s->granted;
-        nextStrobeAllowed_ = s->nextStrobeAllowed;
-        dataBusFreeAt_ = s->dataBusFreeAt;
-    }
-
     stats::Scalar statTxns{"transactions", "address phases issued"};
     stats::Scalar statDeferred{"deferred",
         "transactions deferred by the coherence controller"};
@@ -311,17 +284,6 @@ class Bus : public Snapshottable
         "ticks the data bus was occupied"};
 
   private:
-    /** Value snapshot of the bus's transient state. */
-    struct Snap
-    {
-        std::deque<std::uint64_t> pendingGrants;
-        std::unordered_map<std::uint64_t, BusTxn> open;
-        std::uint64_t nextId;
-        unsigned granted;
-        Tick nextStrobeAllowed;
-        Tick dataBusFreeAt;
-    };
-
     void kick();
     void addressPhase(std::uint64_t txn_id);
     /** Schedule the data phase; @return first-beat tick. */

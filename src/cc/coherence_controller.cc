@@ -826,9 +826,7 @@ CoherenceController::beginHandler(
           case CcBusOp::InvalOnly: bc = BusCmd::Inval; break;
           case CcBusOp::None: break;
         }
-        // The Exec rides by value so the pending callback stays
-        // copyable (speculative checkpoints copy it; a rollback
-        // replays it from the copy with no ownership to reconstruct).
+        // The Exec rides by value until the bus request issues.
         eq_.scheduleFunction(
             [this, ex2 = std::move(*ex), bc, line,
              ep = epoch_]() mutable {
@@ -2607,81 +2605,6 @@ CoherenceController::resetStats()
         e.queueDelayCount = 0;
     }
     statGroup_.resetAll();
-}
-
-// ---------------------------------------------------------------------
-// Speculative checkpointing
-// ---------------------------------------------------------------------
-
-std::shared_ptr<const void>
-CoherenceController::specSave(std::size_t &bytes)
-{
-    std::unordered_map<std::uint64_t, Exec> fetches;
-    fetches.reserve(fetches_.size());
-    for (const auto &[id, ex] : fetches_)
-        fetches.emplace(id, *ex);
-    auto s = std::make_shared<SpecSnap>(SpecSnap{
-        retries_, engines_, homeBusy_, deferredLocal_, homeWaiting_,
-        reqPending_, wbBuffer_, wbWaiting_, std::move(fetches),
-        state_, epoch_, crashReplay_, dirLost_, rebuildParkedWb_,
-        probePendingPeers_, probeDonesOutstanding_,
-        probeRespsExpected_, probeRespsApplied_, restartTick_,
-        reconstructionTicksMax_, missLadders_, deadLines_,
-        deadForever_});
-    // Approximate footprint: the struct plus its container payloads
-    // (queue items dominate; per-item std::function payloads are
-    // not walked).
-    std::size_t queued = 0;
-    for (const auto &e : s->engines)
-        for (const auto &q : e.queues)
-            queued += q.size();
-    for (const auto &[line, q] : s->homeWaiting)
-        queued += q.size();
-    for (const auto &[line, q] : s->wbWaiting)
-        queued += q.size();
-    for (const auto &[line, rp] : s->reqPending)
-        queued += rp.conflicting.size();
-    queued += s->crashReplay.size();
-    bytes += sizeof(SpecSnap) +
-             queued * sizeof(DispatchItem) +
-             s->fetches.size() * sizeof(Exec) +
-             s->homeBusy.size() * sizeof(HomeTxn) +
-             (s->deferredLocal.size() + s->missLadders.size() +
-              s->wbBuffer.size() + s->deadLines.size()) *
-                 2 * sizeof(Addr) +
-             s->rebuildParkedWb.size() * sizeof(Msg);
-    return s;
-}
-
-void
-CoherenceController::specRestore(const void *snap)
-{
-    const SpecSnap *s = static_cast<const SpecSnap *>(snap);
-    retries_ = s->retries;
-    engines_ = s->engines;
-    homeBusy_ = s->homeBusy;
-    deferredLocal_ = s->deferredLocal;
-    homeWaiting_ = s->homeWaiting;
-    reqPending_ = s->reqPending;
-    wbBuffer_ = s->wbBuffer;
-    wbWaiting_ = s->wbWaiting;
-    fetches_.clear();
-    for (const auto &[id, ex] : s->fetches)
-        fetches_.emplace(id, std::make_unique<Exec>(ex));
-    state_ = s->state;
-    epoch_ = s->epoch;
-    crashReplay_ = s->crashReplay;
-    dirLost_ = s->dirLost;
-    rebuildParkedWb_ = s->rebuildParkedWb;
-    probePendingPeers_ = s->probePendingPeers;
-    probeDonesOutstanding_ = s->probeDonesOutstanding;
-    probeRespsExpected_ = s->probeRespsExpected;
-    probeRespsApplied_ = s->probeRespsApplied;
-    restartTick_ = s->restartTick;
-    reconstructionTicksMax_ = s->reconstructionTicksMax;
-    missLadders_ = s->missLadders;
-    deadLines_ = s->deadLines;
-    deadForever_ = s->deadForever;
 }
 
 } // namespace ccnuma

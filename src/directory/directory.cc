@@ -41,7 +41,6 @@ DirectoryCache::access(Addr line_addr)
     for (unsigned w = 0; w < assoc_; ++w) {
         Tag &t = tags_[base + w];
         if (t.line == line_addr) {
-            jrec(&t);
             t.lastUse = ++useClock_;
             ++hits_;
             return true;
@@ -49,7 +48,6 @@ DirectoryCache::access(Addr line_addr)
         if (t.lastUse < victim->lastUse)
             victim = &t;
     }
-    jrec(victim);
     victim->line = line_addr;
     victim->lastUse = ++useClock_;
     ++misses_;
@@ -83,13 +81,6 @@ DirectoryStore::entry(Addr line_addr)
     // peek(): resolving first guarantees no handler ever observes (or
     // builds on) a corrupted word.
     resolvePending();
-    if (jlog_.armed()) {
-        const DirEntry *e = entries_.find(line_addr);
-        if (e != nullptr)
-            jlog_.push(JRec{line_addr, false, *e});
-        else
-            jlog_.push(JRec{line_addr, true, DirEntry{}});
-    }
     return entries_[line_addr];
 }
 
@@ -222,57 +213,6 @@ DirectoryStore::scheduleWrite(Addr line_addr, Tick when)
     cache_.access(line_addr);
     Tick begin = std::max(when, dramFreeAt_);
     dramFreeAt_ = begin + params_.dramBusy;
-}
-
-void
-DirectoryStore::specBegin()
-{
-    jlog_.arm();
-    cache_.jarm();
-}
-
-std::shared_ptr<const void>
-DirectoryStore::specSave(std::size_t &bytes)
-{
-    bytes += sizeof(Snap) +
-             (jlog_.mark() - lastSaveMark_) * sizeof(JRec);
-    lastSaveMark_ = jlog_.mark();
-    return std::make_shared<Snap>(
-        Snap{jlog_.mark(), cache_.jmark(), cache_.useClock(),
-             cache_.hits(), cache_.misses(), dramFreeAt_});
-}
-
-void
-DirectoryStore::specRestore(const void *snap)
-{
-    const Snap *s = static_cast<const Snap *>(snap);
-    jlog_.undoTo(s->markEntries, [this](const JRec &r) {
-        if (r.insert)
-            entries_.undoInsert(r.key);
-        else
-            entries_[r.key] = r.old;
-    });
-    cache_.jundo(s->markTags);
-    cache_.restoreCounters(s->cacheUseClock, s->cacheHits,
-                           s->cacheMisses);
-    dramFreeAt_ = s->dramFreeAt;
-    if (lastSaveMark_ > jlog_.mark())
-        lastSaveMark_ = jlog_.mark();
-}
-
-void
-DirectoryStore::specCommit(const void *oldest)
-{
-    const Snap *s = static_cast<const Snap *>(oldest);
-    jlog_.trimBelow(s->markEntries);
-    cache_.jtrim(s->markTags);
-}
-
-void
-DirectoryStore::specEnd()
-{
-    jlog_.disarm();
-    cache_.jdisarm();
 }
 
 } // namespace ccnuma

@@ -28,7 +28,6 @@
 #include "directory/line_map.hh"
 #include "sim/logging.hh"
 #include "sim/random.hh"
-#include "sim/snapshot.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
 #include "verify/ecc.hh"
@@ -114,54 +113,12 @@ class DirectoryCache
     std::uint64_t hits() const { return hits_; }
     std::uint64_t misses() const { return misses_; }
 
-    // --- speculative undo journal (driven by DirectoryStore) ---
-
-    void jarm() { jlog_.arm(); }
-    void jdisarm() { jlog_.disarm(); }
-    std::size_t jmark() const { return jlog_.mark(); }
-
-    void
-    jundo(std::size_t mark)
-    {
-        jlog_.undoTo(mark, [this](const TagRec &r) {
-            tags_[r.idx] = r.old;
-        });
-    }
-
-    void jtrim(std::size_t mark) { jlog_.trimBelow(mark); }
-    std::uint64_t useClock() const { return useClock_; }
-
-    void
-    restoreCounters(std::uint64_t use_clock, std::uint64_t hits,
-                    std::uint64_t misses)
-    {
-        useClock_ = use_clock;
-        hits_ = hits;
-        misses_ = misses;
-    }
-
   private:
     struct Tag
     {
         Addr line = ~static_cast<Addr>(0);
         std::uint64_t lastUse = 0;
     };
-
-    /** Pre-image of one tag mutated while the journal is armed. */
-    struct TagRec
-    {
-        std::uint32_t idx;
-        Tag old;
-    };
-
-    void
-    jrec(const Tag *t)
-    {
-        if (jlog_.armed()) {
-            jlog_.push(TagRec{
-                static_cast<std::uint32_t>(t - tags_.data()), *t});
-        }
-    }
 
     unsigned assoc_;
     unsigned numSets_;
@@ -170,7 +127,6 @@ class DirectoryCache
     std::uint64_t useClock_ = 0;
     std::uint64_t hits_ = 0;
     std::uint64_t misses_ = 0;
-    UndoLog<TagRec> jlog_;
 };
 
 /** Outcome of a directory bit-flip injection (PR 7 integrity). */
@@ -194,7 +150,7 @@ struct DirFlipResult
  * entry is observed — the corrupted value is never served. The
  * background scrubber resolves them the same way on its own clock.
  */
-class DirectoryStore : public Snapshottable
+class DirectoryStore
 {
   public:
     DirectoryStore(const std::string &name, const DirectoryParams &p);
@@ -277,14 +233,6 @@ class DirectoryStore : public Snapshottable
 
     stats::Group &statGroup() { return statGroup_; }
 
-    // --- speculative checkpointing (undo journals) ---
-
-    void specBegin() override;
-    std::shared_ptr<const void> specSave(std::size_t &bytes) override;
-    void specRestore(const void *snap) override;
-    void specCommit(const void *oldest) override;
-    void specEnd() override;
-
     stats::Scalar statReads{"reads", "controller-side reads"};
     stats::Scalar statWrites{"writes", "controller-side writes"};
     stats::Scalar statCacheHits{"cache_hits", "directory cache hits"};
@@ -328,31 +276,7 @@ class DirectoryStore : public Snapshottable
     static std::uint64_t packWord(const DirEntry &e, unsigned w);
     static void unpackWord(DirEntry &e, unsigned w, std::uint64_t v);
 
-    /**
-     * Entry-journal pre-image: a mutated entry's prior value, or a
-     * marker that the entry was created (undone via undoInsert).
-     */
-    struct JRec
-    {
-        Addr key;
-        bool insert;
-        DirEntry old;
-    };
-
-    /** Journal snapshot: log positions plus the small scalar state. */
-    struct Snap
-    {
-        std::size_t markEntries;
-        std::size_t markTags;
-        std::uint64_t cacheUseClock;
-        std::uint64_t cacheHits;
-        std::uint64_t cacheMisses;
-        Tick dramFreeAt;
-    };
-
     DirectoryParams params_;
-    UndoLog<JRec> jlog_;
-    std::size_t lastSaveMark_ = 0;
     mutable LineMap<DirEntry> entries_;
     DirectoryCache cache_;
     Tick dramFreeAt_ = 0;

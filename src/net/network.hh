@@ -163,60 +163,9 @@ class Network
      */
     void drainMailboxes();
 
-    /** @return true when no cross-shard arrivals are buffered. */
-    bool mailboxesEmpty() const;
-
     /** Install a delivery tap (fault injection); null to remove. */
     void setTap(NetworkTap *tap) { tap_ = tap; }
     NetworkTap *tap() const { return tap_; }
-
-    // --- speculative (Time-Warp) sharding support ---
-
-    /** Earliest buffered cross-shard arrival tick (maxTick if none). */
-    Tick mailboxMinArrival() const;
-
-    /**
-     * Visit every buffered cross-shard arrival as
-     * (src_shard, dst_node, send_tick, arrival_tick): the barrier
-     * fixpoint's straggler-detection input.
-     */
-    template <typename F>
-    void
-    forEachMailboxEntry(F &&f) const
-    {
-        for (unsigned s = 0;
-             s < static_cast<unsigned>(mailboxes_.size()); ++s) {
-            for (const MailboxEntry &e : mailboxes_[s])
-                f(s, static_cast<NodeId>(e.dstNode), e.schedTick,
-                  e.when);
-        }
-    }
-
-    /**
-     * Anti-messages: cancel every buffered send of @p src_shard made
-     * at or after @p from_tick. A rollback squashes the segment that
-     * produced them before any destination observed them, so
-     * cancellation never cascades.
-     * @return entries cancelled.
-     */
-    std::uint64_t squashSends(unsigned src_shard, Tick from_tick);
-
-    /**
-     * Deliver buffered arrivals whose send tick has committed
-     * (below @p send_bound, the new frontier). Later sends stay
-     * buffered: a future rollback could still cancel them.
-     */
-    void drainMailboxesCommitted(Tick send_bound);
-
-    /**
-     * Snapshot / restore the pods owned by @p shard (speculation).
-     * Source pods of the shard's nodes are touched only by the
-     * owning shard's sends, destination pods only by its arrival
-     * events, so per-shard granularity is race-free.
-     */
-    std::shared_ptr<const void> specSaveShard(unsigned shard,
-                                              std::size_t &bytes);
-    void specRestoreShard(unsigned shard, const void *snap);
 
     /**
      * Adaptive-window support: have every cross-shard send clamp the
@@ -306,13 +255,6 @@ class Network
         std::uint64_t seq = 0;
         unsigned dstNode = 0;
         const char *name = "net-arrival";
-    };
-
-    /** Value snapshot of one shard's pods (speculation). */
-    struct ShardSnap
-    {
-        std::vector<std::pair<NodeId, SrcPod>> src;
-        std::vector<std::pair<NodeId, DstPod>> dst;
     };
 
     void init();

@@ -22,7 +22,6 @@
 #include "mem/address_map.hh"
 #include "mem/cache.hh"
 #include "sim/event_queue.hh"
-#include "sim/snapshot.hh"
 #include "sim/stats.hh"
 
 namespace ccnuma
@@ -54,7 +53,7 @@ struct CacheUnitParams
  * returned synchronously; misses go through the split-transaction
  * bus and complete via callback.
  */
-class CacheUnit : public BusAgent, public Snapshottable
+class CacheUnit : public BusAgent
 {
   public:
     CacheUnit(const std::string &name, EventQueue &eq, Bus &bus,
@@ -200,59 +199,6 @@ class CacheUnit : public BusAgent, public Snapshottable
 
     stats::Group &statGroup() { return statGroup_; }
 
-    // --- speculative checkpointing: composes the two cache levels'
-    // journal snapshots with a full copy of the unit's small state ---
-
-    void
-    specBegin() override
-    {
-        l1_.specBegin();
-        l2_.specBegin();
-    }
-
-    std::shared_ptr<const void>
-    specSave(std::size_t &bytes) override
-    {
-        auto s = std::make_shared<Snap>();
-        s->l1 = l1_.specSave(bytes);
-        s->l2 = l2_.specSave(bytes);
-        s->mshr = mshr_;
-        s->wbBuffer = wbBuffer_;
-        s->poisonedTxns = poisonedTxns_;
-        s->missGen = missGen_;
-        s->dead = dead_;
-        bytes += sizeof(Snap) + s->wbBuffer.size() * sizeof(WbEntry);
-        return s;
-    }
-
-    void
-    specRestore(const void *snap) override
-    {
-        const Snap *s = static_cast<const Snap *>(snap);
-        l1_.specRestore(s->l1.get());
-        l2_.specRestore(s->l2.get());
-        mshr_ = s->mshr;
-        wbBuffer_ = s->wbBuffer;
-        poisonedTxns_ = s->poisonedTxns;
-        missGen_ = s->missGen;
-        dead_ = s->dead;
-    }
-
-    void
-    specCommit(const void *oldest) override
-    {
-        const Snap *s = static_cast<const Snap *>(oldest);
-        l1_.specCommit(s->l1.get());
-        l2_.specCommit(s->l2.get());
-    }
-
-    void
-    specEnd() override
-    {
-        l1_.specEnd();
-        l2_.specEnd();
-    }
-
     stats::Scalar statL1Hits{"l1_hits", "L1 hits"};
     stats::Scalar statL2Hits{"l2_hits", "L2 hits (L1 misses)"};
     stats::Scalar statMisses{"misses", "L2 misses (bus transactions)"};
@@ -281,18 +227,6 @@ class CacheUnit : public BusAgent, public Snapshottable
         Addr lineAddr = 0;
         std::uint64_t version = 0;
         std::uint64_t busTxnId = 0;
-    };
-
-    /** Value snapshot of the unit (cache levels by journal mark). */
-    struct Snap
-    {
-        std::shared_ptr<const void> l1;
-        std::shared_ptr<const void> l2;
-        Mshr mshr;
-        std::vector<WbEntry> wbBuffer;
-        std::vector<std::uint64_t> poisonedTxns;
-        std::uint64_t missGen = 0;
-        bool dead = false;
     };
 
     std::string name_;

@@ -21,7 +21,6 @@
 #include "node/cache_unit.hh"
 #include "node/sync.hh"
 #include "sim/event_queue.hh"
-#include "sim/snapshot.hh"
 #include "sim/stats.hh"
 #include "workload/op_stream.hh"
 
@@ -46,7 +45,7 @@ struct ProcessorParams
 };
 
 /** One compute processor executing a ThreadOp stream. */
-class Processor : public Snapshottable
+class Processor
 {
   public:
     Processor(const std::string &name, EventQueue &eq, ProcId id,
@@ -93,64 +92,7 @@ class Processor : public Snapshottable
 
     stats::Group &statGroup() { return statGroup_; }
 
-    // --- speculative checkpointing: raw counters by value, the op
-    // stream by tape cursor (workload/op_stream.hh) ---
-
-    void specBegin() override { stream_.specEnableTape(); }
-
-    std::shared_ptr<const void>
-    specSave(std::size_t &bytes) override
-    {
-        bytes += sizeof(Snap);
-        return std::make_shared<Snap>(
-            Snap{finished_, killed_, finishTick_, syncWaitStart_,
-                 instructions_, loads_, stores_, misses_, stallTicks_,
-                 syncWaitTicks_, stream_.specCursor()});
-    }
-
-    void
-    specRestore(const void *snap) override
-    {
-        const Snap *s = static_cast<const Snap *>(snap);
-        finished_ = s->finished;
-        killed_ = s->killed;
-        finishTick_ = s->finishTick;
-        syncWaitStart_ = s->syncWaitStart;
-        instructions_ = s->instructions;
-        loads_ = s->loads;
-        stores_ = s->stores;
-        misses_ = s->misses;
-        stallTicks_ = s->stallTicks;
-        syncWaitTicks_ = s->syncWaitTicks;
-        stream_.specRewind(s->cursor);
-    }
-
-    void
-    specCommit(const void *oldest) override
-    {
-        stream_.specCommitTape(
-            static_cast<const Snap *>(oldest)->cursor);
-    }
-
-    void specEnd() override { stream_.specDisableTape(); }
-
   private:
-    /** Value snapshot of the processor's execution state. */
-    struct Snap
-    {
-        bool finished;
-        bool killed;
-        Tick finishTick;
-        Tick syncWaitStart;
-        std::uint64_t instructions;
-        std::uint64_t loads;
-        std::uint64_t stores;
-        std::uint64_t misses;
-        Tick stallTicks;
-        Tick syncWaitTicks;
-        std::size_t cursor;
-    };
-
     void run();
     void issueMiss(ThreadOp op);
     void doSync(ThreadOp op);

@@ -96,9 +96,6 @@ SyncManager::post(Op op)
 void
 SyncManager::processPending(Tick safe)
 {
-    // Merge in place on deferred_ (not a local): a speculative
-    // pre-grant rollback may squash records *during* processOp, and
-    // squashFrom must see everything merged this barrier.
     for (auto &log : pending_) {
         for (Record &r : log)
             deferred_.push_back(std::move(r));
@@ -114,23 +111,14 @@ SyncManager::processPending(Tick safe)
     // before anything still buffered at a later tick — so the horizon
     // shrinks as we go. Records at or past the horizon wait, sorted,
     // in deferred_ for a later barrier.
-    //
-    // A mid-loop squashFrom only erases records with op.tick at or
-    // past a rollback target (>= the speculative frontier), and every
-    // record below index i has key.when < horizon <= frontier — so
-    // erasure never shifts the processed prefix, and re-reading
-    // size() each iteration keeps the walk sound. The record being
-    // processed is moved to a local first: the erase may reallocate.
     Tick horizon = safe;
     std::size_t i = 0;
-    while (i < deferred_.size()) {
-        if (deferred_[i].key.when >= horizon)
-            break;
-        Record r = std::move(deferred_[i]);
-        ++i;
-        processOp(r.op);
-        if (r.op.tick + handoffTicks_ < horizon)
-            horizon = r.op.tick + handoffTicks_;
+    for (; i < deferred_.size() && deferred_[i].key.when < horizon;
+         ++i) {
+        Op &op = deferred_[i].op;
+        processOp(op);
+        if (op.tick + handoffTicks_ < horizon)
+            horizon = op.tick + handoffTicks_;
     }
     deferred_.erase(deferred_.begin(),
                     deferred_.begin() + static_cast<std::ptrdiff_t>(i));
@@ -153,37 +141,6 @@ SyncManager::pendingMinWhen() const
     return deferred_.empty() ? maxTick : deferred_.front().key.when;
 }
 
-Tick
-SyncManager::recordedMinWhen() const
-{
-    Tick m = pendingMinWhen();
-    for (const auto &log : pending_) {
-        for (const Record &r : log)
-            m = std::min(m, r.key.when);
-    }
-    return m;
-}
-
-std::uint64_t
-SyncManager::squashFrom(unsigned shard, Tick from_tick)
-{
-    // Only the shard's record log is squashable: it holds exactly the
-    // operations posted since the last barrier, i.e. by the execution
-    // segment being rolled back. deferred_ must NOT be filtered — its
-    // records were merged (committed) at earlier barriers, and one may
-    // carry op.tick >= from_tick when the burst base was set by a
-    // queue event rather than the sync horizon; dropping it would lose
-    // a committed grant forever.
-    auto &log = pending_[shard];
-    auto keep = std::remove_if(log.begin(), log.end(),
-                               [from_tick](const Record &r) {
-                                   return r.op.tick >= from_tick;
-                               });
-    auto n = static_cast<std::uint64_t>(log.end() - keep);
-    log.erase(keep, log.end());
-    return n;
-}
-
 void
 SyncManager::grant(NodeId node, Tick op_tick,
                    std::function<void()> fn)
@@ -197,8 +154,6 @@ SyncManager::grant(NodeId node, Tick op_tick,
         return;
     }
     Tick when = op_tick + handoffTicks_;
-    if (preGrantHook_)
-        preGrantHook_(node, when);
     map_->of(node).scheduleExternal(
         std::move(fn), when, Event::defaultPriority, "sync-grant",
         op_tick, map_->syncCtx(), syncSeq_++, map_->nodeCtx(node));

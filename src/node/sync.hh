@@ -150,40 +150,6 @@ class SyncManager
      */
     Tick pendingMinWhen() const;
 
-    // --- speculative (Time-Warp) sharding support ---
-
-    /**
-     * Earliest event key tick among *all* buffered operations,
-     * recorded logs included (maxTick when none). The speculative
-     * frontier caps itself at this plus handoffTicks: an unprocessed
-     * operation's earliest effect is its own grant.
-     */
-    Tick recordedMinWhen() const;
-
-    /**
-     * Anti-messages: drop every operation @p shard's record log holds
-     * with op.tick at or after @p from_tick — the rollback squashes
-     * the execution segment that posted them (the log holds exactly
-     * the posts since the last barrier). Operations already merged
-     * into the deferred list are committed and never squashed.
-     * @return operations cancelled.
-     */
-    std::uint64_t squashFrom(unsigned shard, Tick from_tick);
-
-    /**
-     * Straggler hook on the deferred grant path: runs with the
-     * grant's destination node and firing tick immediately before
-     * the grant is scheduled. The speculative machine rolls the
-     * destination shard back when the grant would land in its past;
-     * the grant is then scheduled after the restore, so it is never
-     * lost. Null (the default) costs one branch per grant.
-     */
-    void
-    setPreGrantHook(std::function<void(NodeId, Tick)> hook)
-    {
-        preGrantHook_ = std::move(hook);
-    }
-
     stats::Group &statGroup() { return statGroup_; }
 
     stats::Scalar statBarriers{"barriers", "barrier episodes completed"};
@@ -252,7 +218,6 @@ class SyncManager
     Tick handoffTicks_ = 16;
     bool adaptiveWindows_ = false;
     bool forceDefer_ = false;
-    std::function<void(NodeId, Tick)> preGrantHook_;
     /** Per-context grant sequence (advances in processing order). */
     std::uint64_t syncSeq_ = 0;
     /** Per-shard operation logs (sharded mode only). */

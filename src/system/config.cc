@@ -23,7 +23,6 @@ windowPolicyName(WindowPolicy p)
     switch (p) {
       case WindowPolicy::Conservative: return "conservative";
       case WindowPolicy::Adaptive: return "adaptive";
-      case WindowPolicy::Speculative: return "speculative";
     }
     return "?";
 }

@@ -54,18 +54,6 @@ enum class WindowPolicy
      * exist. The default.
      */
     Adaptive,
-    /**
-     * Optimistic (Time-Warp) execution (PR 10): shards run past the
-     * conservative bound, checkpointing on a common grid every
-     * specCkptWindows lookahead windows; a straggler cross-shard
-     * message rolls its destination back to the last safe
-     * checkpoint, anti-messages cancel the squashed segment's
-     * unobserved sends, and a frontier (GVT) sweep reclaims
-     * committed checkpoints. Bit-identical to serial, like the
-     * other two policies; every rollback/anti-message/squashed
-     * event/checkpoint byte is counted in RunResult.
-     */
-    Speculative,
 };
 
 const char *windowPolicyName(WindowPolicy p);
@@ -106,24 +94,10 @@ struct MachineConfig
      * Lookahead-window sizing for the sharded scheduler (PR 9);
      * ignored when shards == 1. Bit-identical either way, so this is
      * omitted from the canonical cache key alongside `shards`. The
-     * CCNUMA_WINDOW environment variable
-     * (conservative|adaptive|speculative) overrides without a config
-     * change.
+     * CCNUMA_WINDOW environment variable (conservative|adaptive)
+     * overrides without a config change.
      */
     WindowPolicy windowPolicy = WindowPolicy::Adaptive;
-    /**
-     * Speculative horizon, in lookahead windows: each burst runs
-     * every shard K windows past its base before the rollback
-     * barrier. Larger values amortize barrier cost but deepen the
-     * work lost per rollback. CCNUMA_SPEC_HORIZON overrides.
-     */
-    unsigned specHorizonWindows = 8;
-    /**
-     * Checkpoint spacing, in lookahead windows; must divide
-     * specHorizonWindows so the grid lands on burst targets.
-     * CCNUMA_SPEC_CKPT overrides.
-     */
-    unsigned specCkptWindows = 2;
     /**
      * Force the deferred (sharded-style) sync grant path in serial
      * runs, so a serial run can serve as a bit-identity oracle for
@@ -131,7 +105,10 @@ struct MachineConfig
      * runs keep the seed's zero-delay wakes.
      */
     bool forceSyncDefer = false;
-    /** Simulation watchdog: abort if a run exceeds this many ticks. */
+    /**
+     * Simulation watchdog: abort if a run exceeds this many ticks.
+     * CCNUMA_MAX_TICKS (a positive integer) overrides.
+     */
     Tick maxTicks = 4'000'000'000ull;
     /**
      * Verification subsystem (invariant checker, fault injector,

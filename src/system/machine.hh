@@ -29,7 +29,6 @@ class HangWatchdog;
 class IntegrityManager;
 class RecoveryManager;
 class ReliableTransport;
-class Snapshottable;
 
 namespace obs
 {
@@ -118,25 +117,6 @@ struct RunResult
     /** Windows cut short early by a sync post's self-grant clamp. */
     std::uint64_t syncWindowStops = 0;
 
-    // --- speculative (Time-Warp) accounting (PR 10); zero unless the
-    // speculative policy ran. Execution-strategy metadata like the
-    // other window fields: excluded from resultsIdentical(), because
-    // speculative runs are bit-identical to serial in everything
-    // above this block. Counted, never silent. ---
-    /** Non-empty iff speculative was requested but demoted (and to
-     *  what the reason was); the effective policy is windowPolicy. */
-    std::string windowPolicyFallback;
-    /** Shard segments squashed by a straggler (rollback episodes). */
-    std::uint64_t rollbacks = 0;
-    /** Cross-shard sends and sync posts cancelled by rollbacks. */
-    std::uint64_t antiMessages = 0;
-    /** Events whose effects were undone and later re-executed. */
-    std::uint64_t squashedEvents = 0;
-    /** Total footprint of all checkpoints taken (bytes). */
-    std::uint64_t checkpointBytes = 0;
-    /** Frontier (GVT) commits: bursts whose prefix was reclaimed. */
-    std::uint64_t gvtSweeps = 0;
-
     double
     rccpi() const
     {
@@ -181,16 +161,8 @@ class Machine : public MsgRouter
     /** The effective window policy (conservative under a watchdog). */
     WindowPolicy windowPolicy() const
     {
-        if (specActive_)
-            return WindowPolicy::Speculative;
         return adaptiveActive_ ? WindowPolicy::Adaptive
                                : WindowPolicy::Conservative;
-    }
-
-    /** Why speculative execution was demoted ("" if it was not). */
-    const std::string &specFallbackReason() const
-    {
-        return specFallback_;
     }
 
     unsigned numNodes() const
@@ -295,19 +267,6 @@ class Machine : public MsgRouter
     /** Window-barrier bookkeeping (mailboxes, sync, tracing). */
     void windowBarrier(Tick window_end);
 
-    /**
-     * Speculative (Time-Warp) burst loop: every shard runs up to
-     * specHorizonWindows lookahead windows past the burst base,
-     * checkpointing on a common grid every specCkptWindows windows;
-     * the barrier computes the committable frontier F (straggler
-     * cross-shard arrivals and the earliest pending sync grant bound
-     * it), rolls every shard back to its checkpoint at F, cancels the
-     * squashed segments' unobserved sends (anti-messages), delivers
-     * the committed mail, and reclaims the burst's checkpoints. Same
-     * contract as runWindows; results are bit-identical to serial.
-     */
-    bool runSpeculative(const std::function<bool()> &done, Tick limit);
-
     /** Fold the sharded tracers into tracer 0 (no-op when serial). */
     void mergeTracers();
 
@@ -343,23 +302,6 @@ class Machine : public MsgRouter
     std::uint64_t windowsRun_ = 0;
     std::uint64_t windowsWidened_ = 0;
     std::uint64_t windowFallbacks_ = 0;
-
-    // --- speculative (Time-Warp) execution (PR 10) ---
-    /** Speculative bursts in effect (sharded, policy speculative,
-     *  and none of the demoting subsystems armed). */
-    bool specActive_ = false;
-    /** Why speculative was demoted ("" if it was not). */
-    std::string specFallback_;
-    /** Per-shard checkpointable components (nodes' buses, memory and
-     *  directory controllers, CCs, cache units, processors). */
-    std::vector<std::vector<Snapshottable *>> specComps_;
-    /** Per-shard stats, flattened for checkpoint value snapshots. */
-    std::vector<std::vector<stats::Stat *>> specStats_;
-    std::uint64_t rollbacks_ = 0;
-    std::uint64_t antiMessages_ = 0;
-    std::uint64_t squashedEvents_ = 0;
-    std::uint64_t checkpointBytes_ = 0;
-    std::uint64_t gvtSweeps_ = 0;
 };
 
 } // namespace ccnuma

@@ -68,10 +68,13 @@ captureWorkload(Workload &w, std::string identity)
     b->threads.resize(w.numThreads());
     for (unsigned t = 0; t < w.numThreads(); ++t) {
         OpStream s = w.thread(t);
-        ThreadOp op;
-        while (s.next(op))
-            b->threads[t].push_back(op);
-        b->threads[t].shrink_to_fit();
+        // Ops are written straight into the buffer: copied through a
+        // local, each one took a store-forwarding stall.
+        std::vector<ThreadOp> &ops = b->threads[t];
+        while (s.next(ops.emplace_back())) {
+        }
+        ops.pop_back();
+        ops.shrink_to_fit();
     }
     return b;
 }

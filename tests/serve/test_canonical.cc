@@ -339,30 +339,16 @@ TEST(Canonical, ResultInvariantFieldsDoNotChangeTheHash)
     EXPECT_EQ(keyFor(traced).hash, base_key.hash);
     EXPECT_EQ(keyFor(traced).canonical, base_key.canonical);
 
-    // Window policy: conservative, adaptive, and speculative windows
-    // are proven bit-identical by
-    // tests/integration/test_sharded_identity.cc, so the policy
-    // choice must not split the result cache.
+    // Window policy: conservative and adaptive windows are proven
+    // bit-identical by tests/integration/test_sharded_identity.cc,
+    // so the policy choice must not split the result cache.
     MachineConfig adaptive = base;
     adaptive.windowPolicy = WindowPolicy::Adaptive;
     MachineConfig conservative = base;
     conservative.windowPolicy = WindowPolicy::Conservative;
-    MachineConfig speculative = base;
-    speculative.windowPolicy = WindowPolicy::Speculative;
     EXPECT_EQ(keyFor(adaptive).hash, keyFor(conservative).hash);
     EXPECT_EQ(keyFor(adaptive).canonical,
               keyFor(conservative).canonical);
-    EXPECT_EQ(keyFor(speculative).hash, keyFor(conservative).hash);
-    EXPECT_EQ(keyFor(speculative).canonical,
-              keyFor(conservative).canonical);
-
-    // Speculation tuning knobs only move checkpoints around; the
-    // committed execution is the same run.
-    MachineConfig tuned = speculative;
-    tuned.specHorizonWindows = 64;
-    tuned.specCkptWindows = 8;
-    EXPECT_EQ(keyFor(tuned).hash, keyFor(speculative).hash);
-    EXPECT_EQ(keyFor(tuned).canonical, keyFor(speculative).canonical);
 }
 
 TEST(Canonical, HashIsStableAcrossRuns)

@@ -78,12 +78,6 @@ TEST(ResultIo, RoundTripsEveryField)
     r.windowsWidened = 10;
     r.windowFallbacks = 11;
     r.syncWindowStops = 12;
-    r.windowPolicyFallback = "crash recovery is rollback-unaware";
-    r.rollbacks = 13;
-    r.antiMessages = 14;
-    r.squashedEvents = 15;
-    r.checkpointBytes = 16;
-    r.gvtSweeps = 17;
 
     RunResult back = resultFromJson(resultToJson(r));
     EXPECT_TRUE(resultsIdentical(r, back));
@@ -96,12 +90,31 @@ TEST(ResultIo, RoundTripsEveryField)
     EXPECT_EQ(back.windowsWidened, r.windowsWidened);
     EXPECT_EQ(back.windowFallbacks, r.windowFallbacks);
     EXPECT_EQ(back.syncWindowStops, r.syncWindowStops);
-    EXPECT_EQ(back.windowPolicyFallback, r.windowPolicyFallback);
-    EXPECT_EQ(back.rollbacks, r.rollbacks);
-    EXPECT_EQ(back.antiMessages, r.antiMessages);
-    EXPECT_EQ(back.squashedEvents, r.squashedEvents);
-    EXPECT_EQ(back.checkpointBytes, r.checkpointBytes);
-    EXPECT_EQ(back.gvtSweeps, r.gvtSweeps);
+}
+
+TEST(ResultIo, LoadsResultsWithRetiredSpeculationCounters)
+{
+    // Result files written before the speculative window policy was
+    // removed end with six more keys. They must still load, and
+    // compare identical to the same result without them, so
+    // persisted caches keep serving hits.
+    RunResult r = makeResult(9);
+    r.windowPolicy = "adaptive";
+    r.windowsRun = 3;
+    const std::string current = resultToJson(r);
+    ASSERT_EQ(current.back(), '}');
+    const std::string older =
+        current.substr(0, current.size() - 1) +
+        ",\"windowPolicyFallback\":\"the hang watchdog polls at "
+        "lock-step barriers\",\"rollbacks\":13,\"antiMessages\":14,"
+        "\"squashedEvents\":15,\"checkpointBytes\":16,"
+        "\"gvtSweeps\":17}";
+
+    RunResult back = resultFromJson(older);
+    EXPECT_TRUE(resultsIdentical(back, resultFromJson(current)));
+    EXPECT_TRUE(resultsIdentical(back, r));
+    EXPECT_EQ(back.windowPolicy, r.windowPolicy);
+    EXPECT_EQ(back.windowsRun, r.windowsRun);
 }
 
 TEST(ResultCache, HitsAfterMiss)

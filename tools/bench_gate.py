@@ -22,7 +22,7 @@ serial-vs-sharded speedup must reach --min-speedup (default 1.5x).
 The timing checks are skipped (with a note) when the producing host
 had fewer hardware threads than requested shards — identity is still
 enforced by the bench itself, but the timing comparison is
-meaningless there. Three additions ride on the same summary table:
+meaningless there. More checks ride on the same summary table:
 
   * the adaptive window counters (windows run / widened / fallbacks
     / sync window stops) must be PRESENT — a bench export without
@@ -34,17 +34,7 @@ meaningless there. Three additions ride on the same summary table:
     conservative barrier they claim to beat;
   * --min-speedup-adaptive N (default 0 = off) requires the overall
     serial-vs-adaptive speedup to reach N on hosts with >= 8
-    hardware threads (the fig6 8-core target);
-  * the speculative (Time-Warp) window counters (bursts, rollbacks,
-    anti-messages, squashed events, gvt sweeps, rollback rate) must
-    be PRESENT, the grid may contain no silent speculative demotion,
-    and the rollback rate (fraction of shard-bursts squashed) must
-    stay below --max-rollback-rate (default 0.90) — a run that rolls
-    nearly everything back is doing conservative work with
-    checkpointing overhead on top;
-  * --min-speedup-speculative N (default 0 = off) requires the
-    overall serial-vs-speculative speedup to reach N on hosts with
-    >= 8 hardware threads.
+    hardware threads (the fig6 8-core target).
 
 A third machine-independent invariant gates the crash-recovery
 subsystem: pass --recovery BENCH_crash_campaign.json and every
@@ -86,14 +76,15 @@ Usage: bench_gate.py [BASELINE.json FRESH.json] [--threshold 0.20]
                      [--min-speedup 1.5]
                      [--min-speedup-adaptive 0]
                      [--max-adaptive-regression 0.20]
-                     [--min-speedup-speculative 0]
-                     [--max-rollback-rate 0.90]
                      [--replay-served BENCH_fig6_base.json]
                      [--recovery BENCH_crash_campaign.json]
                      [--max-rebuild-ticks 50000]
                      [--integrity BENCH_corruption_campaign.json]
                      [--served BENCH_served_load.json]
                      [--min-dedup 1.0]
+
+An input that is missing or is not valid JSON is reported as
+"bench_gate: cannot read <path>: <reason>" and exits 2.
 """
 
 import argparse
@@ -101,9 +92,21 @@ import json
 import sys
 
 
+def load_json(path):
+    """Parse the JSON file at `path`, or exit 2 naming the problem."""
+    try:
+        with open(path) as f:
+            return json.load(f)
+    except OSError as e:
+        reason = e.strerror or str(e)
+    except ValueError as e:  # json.JSONDecodeError, UnicodeDecodeError
+        reason = str(e)
+    print(f"bench_gate: cannot read {path}: {reason}", file=sys.stderr)
+    sys.exit(2)
+
+
 def items_per_second(path):
-    with open(path) as f:
-        data = json.load(f)
+    data = load_json(path)
     if "items_per_second" in data:
         return dict(data["items_per_second"])
     out = {}
@@ -119,8 +122,7 @@ def items_per_second(path):
 def sharded_summary(path):
     """Return the metric->value map of the sharded bench's summary
     table, or None if the file doesn't contain one."""
-    with open(path) as f:
-        data = json.load(f)
+    data = load_json(path)
     for table in data.get("tables", []):
         if "speedup summary" not in table.get("title", "").lower():
             continue
@@ -130,8 +132,7 @@ def sharded_summary(path):
 
 
 def check_sharded(path, min_speedup, min_speedup_adaptive,
-                  max_adaptive_regression, min_speedup_speculative,
-                  max_rollback_rate, failures):
+                  max_adaptive_regression, failures):
     summary = sharded_summary(path)
     if summary is None:
         failures.append(f"{path}: no 'speedup summary' table")
@@ -156,39 +157,6 @@ def check_sharded(path, min_speedup, min_speedup_adaptive,
                 "silent)")
         else:
             counters[key] = int(summary[key])
-
-    # The speculative engine must count its behavior too, and no
-    # point on this grid may demote away from speculation silently.
-    spec = {}
-    for key in ("speculative demotions", "speculative bursts",
-                "rollbacks", "anti-messages", "squashed events",
-                "gvt sweeps", "rollback rate"):
-        if key not in summary:
-            failures.append(
-                f"sharded fig6: summary lacks the '{key}' counter "
-                "(speculative window behavior must be counted, "
-                "never silent)")
-        else:
-            spec[key] = summary[key]
-    if int(spec.get("speculative demotions", 0)) != 0:
-        failures.append(
-            f"sharded fig6: {spec['speculative demotions']} point(s) "
-            "demoted away from speculative windows on a grid with "
-            "nothing un-checkpointable")
-    if "rollback rate" in spec:
-        rate = float(spec["rollback rate"])
-        print(f"  speculative rollback rate {rate:.4f} "
-              f"(require <= {max_rollback_rate:.2f})")
-        if rate > max_rollback_rate:
-            failures.append(
-                f"speculative rollback rate {rate:.4f} exceeds "
-                f"{max_rollback_rate:.2f}: nearly every shard-burst "
-                "is squashed, so speculation is pure overhead")
-        if int(spec.get("speculative bursts", 0)) > 0 and \
-                int(spec.get("gvt sweeps", -1)) == 0:
-            failures.append(
-                "speculative bursts ran but no GVT sweep committed; "
-                "the commit path never engaged")
 
     shards = int(summary.get("shards requested", 0))
     hw = int(summary.get("hardware threads", 0))
@@ -241,27 +209,6 @@ def check_sharded(path, min_speedup, min_speedup_adaptive,
             print("  (adaptive speedup floor skipped: host has "
                   f"{hw} < 8 hardware threads)")
 
-    if min_speedup_speculative > 0:
-        spec_speedup = summary.get("speculative speedup")
-        if spec_speedup is None:
-            failures.append(
-                "sharded fig6: summary lacks the 'speculative "
-                "speedup' column")
-        elif hw >= 8:
-            spec_speedup = float(spec_speedup)
-            print(f"  speculative speedup {spec_speedup:.2f} "
-                  f"(require >= {min_speedup_speculative:.2f} on "
-                  f"{hw} threads)")
-            if spec_speedup < min_speedup_speculative:
-                failures.append(
-                    f"speculative sharded speedup only "
-                    f"{spec_speedup:.2f}x serial (expected >= "
-                    f"{min_speedup_speculative:.2f}x on {hw} "
-                    "threads)")
-        else:
-            print("  (speculative speedup floor skipped: host has "
-                  f"{hw} < 8 hardware threads)")
-
 
 def check_recovery(path, max_rebuild_ticks, failures):
     rows = table_rows(path, "crash campaign")
@@ -298,8 +245,7 @@ def check_recovery(path, max_rebuild_ticks, failures):
 def table_rows(path, title_substr):
     """Return the per-run rows of the named table (the TOTAL row
     excluded), or None if the file doesn't contain one."""
-    with open(path) as f:
-        data = json.load(f)
+    data = load_json(path)
     for table in data.get("tables", []):
         if title_substr not in table.get("title", "").lower():
             continue
@@ -349,8 +295,7 @@ def check_integrity(path, failures):
 def served_summary(path):
     """Metric->value map of a daemon download's 'campaign summary'
     table, or None when the file isn't a result download."""
-    with open(path) as f:
-        data = json.load(f)
+    data = load_json(path)
     for table in data.get("tables", []):
         if "campaign summary" not in table.get("title", "").lower():
             continue
@@ -419,8 +364,7 @@ def check_served(path, min_dedup, failures):
 def replay_summary(path):
     """Metric->value map of the 'workload replay cache' table, or
     None when the bench export doesn't carry one."""
-    with open(path) as f:
-        data = json.load(f)
+    data = load_json(path)
     for table in data.get("tables", []):
         if "replay cache" not in table.get("title", "").lower():
             continue
@@ -476,14 +420,6 @@ def main():
                     default=0.20,
                     help="max fractional wall-clock cost of adaptive "
                          "windows over conservative")
-    ap.add_argument("--min-speedup-speculative", type=float,
-                    default=0.0,
-                    help="min serial-vs-speculative speedup, enforced "
-                         "only on hosts with >= 8 hardware threads "
-                         "(0 = off)")
-    ap.add_argument("--max-rollback-rate", type=float, default=0.90,
-                    help="max fraction of speculative shard-bursts "
-                         "that rolled back")
     ap.add_argument("--replay-served", metavar="JSON",
                     help="bench export that must have been entirely "
                          "served from persisted replay traces")
@@ -566,9 +502,7 @@ def main():
     if args.sharded:
         check_sharded(args.sharded, args.min_speedup,
                       args.min_speedup_adaptive,
-                      args.max_adaptive_regression,
-                      args.min_speedup_speculative,
-                      args.max_rollback_rate, failures)
+                      args.max_adaptive_regression, failures)
 
     if args.replay_served:
         check_replay_served(args.replay_served, failures)
