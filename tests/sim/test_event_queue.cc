@@ -299,5 +299,100 @@ TEST(EventQueue, ThrowingOneShotDoesNotLeak)
     EXPECT_EQ(eq.numProcessed(), 1u);
 }
 
+TEST(EventQueue, ExternalKeysOrderIndependentOfInsertion)
+{
+    // Cross-queue work (network arrivals, sync grants) carries an
+    // explicit (priority, schedTick, ctx, seq) key; its same-tick
+    // firing order must follow that key whatever order it was
+    // injected in, and its fire-context must be current while it
+    // runs. This is what makes sharded runs match serial ones.
+    struct Ext
+    {
+        int priority;
+        Tick schedTick;
+        std::uint32_t ctx;
+        std::uint64_t seq;
+        std::uint32_t fireCtx;
+    };
+    const std::vector<Ext> in_key_order = {
+        {50, 3, 2, 0, 1}, {50, 7, 0, 4, 2}, {50, 7, 1, 0, 3},
+        {50, 7, 1, 2, 0}, {100, 0, 3, 9, 3}, {100, 4, 0, 1, 1},
+    };
+    auto fire = [&](const std::vector<std::size_t> &insertion) {
+        EventQueue eq;
+        eq.setNumContexts(4);
+        std::vector<std::pair<std::size_t, std::uint32_t>> fired;
+        for (std::size_t i : insertion) {
+            const Ext &e = in_key_order[i];
+            eq.scheduleExternal(
+                [&fired, &eq, i] {
+                    fired.emplace_back(i, eq.context());
+                },
+                20, e.priority, "ext", e.schedTick, e.ctx, e.seq,
+                e.fireCtx);
+        }
+        eq.run();
+        EXPECT_EQ(eq.curTick(), 20u);
+        return fired;
+    };
+
+    std::vector<std::size_t> order(in_key_order.size());
+    for (std::size_t i = 0; i < order.size(); ++i)
+        order[i] = i;
+    std::vector<std::pair<std::size_t, std::uint32_t>> expected;
+    for (std::size_t i : order)
+        expected.emplace_back(i, in_key_order[i].fireCtx);
+
+    EXPECT_EQ(fire(order), expected);
+    std::reverse(order.begin(), order.end());
+    EXPECT_EQ(fire(order), expected);
+    EXPECT_EQ(fire({3, 0, 5, 1, 4, 2}), expected);
+}
+
+TEST(EventQueue, RunWindowStopsBeforeEndAndResumesIdentically)
+{
+    // The sharded scheduler advances each queue one window at a
+    // time: runWindow(end) fires everything strictly before end,
+    // including children spawned inside the window, and leaves the
+    // rest pending. Running in windows must fire the same events at
+    // the same ticks as one uninterrupted run.
+    auto seed = [](EventQueue &q, std::vector<std::pair<Tick, int>> &f) {
+        for (int i = 0; i < 12; ++i) {
+            q.scheduleFunction(
+                [&f, &q, i] {
+                    f.emplace_back(q.curTick(), i);
+                    if (i % 2 == 1) {
+                        q.scheduleFunction(
+                            [&f, &q, i] {
+                                f.emplace_back(q.curTick(), 100 + i);
+                            },
+                            q.curTick() + 4);
+                    }
+                },
+                static_cast<Tick>(i) * 3);
+        }
+    };
+
+    EventQueue whole;
+    std::vector<std::pair<Tick, int>> once;
+    seed(whole, once);
+    whole.run();
+
+    EventQueue windowed;
+    std::vector<std::pair<Tick, int>> fired;
+    seed(windowed, fired);
+    windowed.runWindow(10);
+    ASSERT_FALSE(fired.empty());
+    for (const auto &[tick, id] : fired)
+        EXPECT_LT(tick, 10u) << "event " << id;
+    EXPECT_FALSE(windowed.empty());
+    EXPECT_GE(windowed.nextWhen(), 10u);
+    for (Tick end = 20; !windowed.empty(); end += 10)
+        windowed.runWindow(end);
+
+    EXPECT_EQ(fired, once);
+    EXPECT_EQ(windowed.numProcessed(), whole.numProcessed());
+}
+
 } // namespace
 } // namespace ccnuma
