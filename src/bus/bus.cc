@@ -23,6 +23,11 @@ busCmdName(BusCmd cmd)
 Bus::Bus(const std::string &name, EventQueue &eq, const BusParams &p)
     : name_(name), eq_(eq), params_(p), statGroup_(name)
 {
+    std::size_t slots = 16;
+    while (slots < 2 * static_cast<std::size_t>(p.maxOutstanding))
+        slots *= 2;
+    slots_.resize(slots);
+    slotMask_ = slots - 1;
     statGroup_.add(&statTxns);
     statGroup_.add(&statDeferred);
     statGroup_.add(&statC2C);
@@ -52,7 +57,10 @@ Bus::request(BusCmd cmd, Addr line_addr, int requester,
     ccnuma_assert(requester >= 0 &&
                   requester < static_cast<int>(agents_.size()));
     std::uint64_t id = nextId_++;
-    BusTxn txn;
+    if (slots_[id & slotMask_].id != 0)
+        growSlots(id);
+    BusTxn &txn = slots_[id & slotMask_];
+    txn = BusTxn{};
     txn.id = id;
     txn.cmd = cmd;
     txn.lineAddr = line_addr;
@@ -65,11 +73,29 @@ Bus::request(BusCmd cmd, Addr line_addr, int requester,
                  (unsigned long long)eq_.curTick(), name_.c_str(),
                  (unsigned long long)id, busCmdName(cmd), requester,
                  (int)from_cc);
-    open_.emplace(id, txn);
+    ++numOpen_;
     pendingGrants_.push_back(id);
     if (!kickEvent_.scheduled())
         eq_.scheduleIn(&kickEvent_, 0);
     return id;
+}
+
+void
+Bus::growSlots(std::uint64_t new_id)
+{
+    // Open ids are distinct modulo the ring size, and a transaction
+    // still open one lap later forces a doubling right then, so the
+    // clash here is always with new_id - size: one doubling separates
+    // them and keeps every other open id in its own slot.
+    const std::uint64_t mask = 2 * slots_.size() - 1;
+    std::vector<BusTxn> next(mask + 1);
+    for (const BusTxn &t : slots_) {
+        if (t.id != 0)
+            next[t.id & mask] = t;
+    }
+    ccnuma_assert(next[new_id & mask].id == 0);
+    slots_ = std::move(next);
+    slotMask_ = mask;
 }
 
 void
@@ -89,9 +115,12 @@ Bus::kick()
 void
 Bus::addressPhase(std::uint64_t txn_id)
 {
-    auto it = open_.find(txn_id);
-    ccnuma_assert(it != open_.end());
-    BusTxn &txn = it->second;
+    BusTxn *open = find(txn_id);
+    ccnuma_assert(open != nullptr);
+    // Agents and the hook only schedule further bus requests, never
+    // issue them from inside an address phase, so the slot ring
+    // cannot grow (and move this entry) before the phase ends.
+    BusTxn &txn = *open;
 
     // First pass: a conflicting in-flight exclusive fill forces a
     // retry before anyone changes state.
@@ -220,15 +249,16 @@ Bus::deliver(std::uint64_t txn_id, Tick when)
 {
     eq_.scheduleFunction(
         [this, txn_id] {
-            auto it = open_.find(txn_id);
-            ccnuma_assert(it != open_.end());
-            BusTxn txn = it->second;
+            BusTxn *open = find(txn_id);
+            ccnuma_assert(open != nullptr);
+            BusTxn txn = *open;
             ccnuma_trace(txn.lineAddr,
                          "%8llu %s done txn=%llu %s req=%d",
                          (unsigned long long)eq_.curTick(),
                          name_.c_str(), (unsigned long long)txn_id,
                          busCmdName(txn.cmd), txn.requester);
-            open_.erase(it);
+            open->id = 0;
+            --numOpen_;
             --granted_;
             agents_[txn.requester]->busDone(txn);
             if (completionTap_)
@@ -249,11 +279,11 @@ void
 Bus::deferredRespond(std::uint64_t txn_id, std::uint64_t data_version,
                      Tick earliest)
 {
-    auto it = open_.find(txn_id);
-    if (it == open_.end())
+    BusTxn *open = find(txn_id);
+    if (open == nullptr)
         panic("bus %s: deferred response for unknown txn %llu",
               name_.c_str(), (unsigned long long)txn_id);
-    BusTxn &txn = it->second;
+    BusTxn &txn = *open;
     ccnuma_trace(txn.lineAddr,
                  "%8llu %s defresp txn=%llu req=%d",
                  (unsigned long long)eq_.curTick(), name_.c_str(),

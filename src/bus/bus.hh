@@ -22,14 +22,13 @@
 #define CCNUMA_BUS_BUS_HH
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "mem/memory_controller.hh"
 #include "sim/event_queue.hh"
+#include "sim/ring_deque.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
 
@@ -74,7 +73,7 @@ enum class SupplyDecision : std::uint8_t
 /** An in-flight bus transaction. */
 struct BusTxn
 {
-    std::uint64_t id = 0;
+    std::uint64_t id = 0; ///< never 0 for a real transaction
     BusCmd cmd = BusCmd::Read;
     Addr lineAddr = 0;
     int requester = -1;      ///< agent id on this bus
@@ -214,15 +213,21 @@ class Bus
                          std::uint64_t data_version, Tick earliest);
 
     /** Number of transactions currently open. */
-    std::size_t numOutstanding() const { return open_.size(); }
+    std::size_t numOutstanding() const { return numOpen_; }
 
     /** @return true while any open transaction targets @p line. */
     bool
     lineBusy(Addr line_addr) const
     {
-        for (const auto &kv : open_) {
-            if (kv.second.lineAddr == line_addr)
+        // Stop once every open transaction has been seen: the ring
+        // is mostly free slots and this runs on every checker event.
+        std::size_t left = numOpen_;
+        for (const BusTxn *t = slots_.data(); left != 0; ++t) {
+            if (t->id == 0)
+                continue;
+            if (t->lineAddr == line_addr)
                 return true;
+            --left;
         }
         return false;
     }
@@ -257,15 +262,18 @@ class Bus
     bool
     fillScheduled(std::uint64_t txn_id) const
     {
-        auto it = open_.find(txn_id);
-        return it != open_.end() && it->second.fillScheduled;
+        const BusTxn *t = find(txn_id);
+        return t != nullptr && t->fillScheduled;
     }
 
     /** @return true while @p txn_id has not completed. */
     bool isOpen(std::uint64_t txn_id) const
     {
-        return open_.count(txn_id) != 0;
+        return find(txn_id) != nullptr;
     }
+
+    /** Slots in the open-transaction ring (tests). */
+    std::size_t slotCapacity() const { return slots_.size(); }
 
     stats::Group &statGroup() { return statGroup_; }
 
@@ -284,6 +292,25 @@ class Bus
         "ticks the data bus was occupied"};
 
   private:
+    /**
+     * The open transaction @p txn_id, or nullptr. Id 0 is never
+     * issued; free slots hold it, so it must not match them.
+     */
+    BusTxn *
+    find(std::uint64_t txn_id)
+    {
+        BusTxn &t = slots_[txn_id & slotMask_];
+        return txn_id != 0 && t.id == txn_id ? &t : nullptr;
+    }
+    const BusTxn *
+    find(std::uint64_t txn_id) const
+    {
+        const BusTxn &t = slots_[txn_id & slotMask_];
+        return txn_id != 0 && t.id == txn_id ? &t : nullptr;
+    }
+    /** Double the slot ring so that @p new_id gets a free slot. */
+    void growSlots(std::uint64_t new_id);
+
     void kick();
     void addressPhase(std::uint64_t txn_id);
     /** Schedule the data phase; @return first-beat tick. */
@@ -304,11 +331,18 @@ class Bus
     BusCoherenceHook *hook_ = nullptr;
     MemoryController *memory_ = nullptr;
 
-    std::deque<std::uint64_t> pendingGrants_;
+    RingDeque<std::uint64_t> pendingGrants_;
     std::function<void(const BusTxn &)> completionTap_;
     obs::Tracer *tracer_ = nullptr;
     NodeId tracerNode_ = 0;
-    std::unordered_map<std::uint64_t, BusTxn> open_;
+    /**
+     * Open transactions, indexed by id & slotMask_ (id 0 marks a free
+     * slot). Ids are issued in sequence, so the ring only grows when
+     * a transaction outlives a full lap of ids (a long deferral).
+     */
+    std::vector<BusTxn> slots_;
+    std::uint64_t slotMask_ = 0;
+    std::size_t numOpen_ = 0;
     std::uint64_t nextId_ = 1;
     unsigned granted_ = 0;
     Tick nextStrobeAllowed_ = 0;

@@ -3,6 +3,7 @@
 #include "obs/tracer.hh"
 
 #include <algorithm>
+#include <bit>
 #include <unordered_set>
 
 namespace ccnuma
@@ -198,10 +199,10 @@ CoherenceController::busObserve(BusTxn &txn, SnoopResult combined)
         ++statParked;
         return SupplyDecision::Deferred;
     }
+    const auto hw = homeWaiting_.find(line);
     const bool busy = homeBusy_.count(line) != 0 ||
                       deferredLocal_.count(line) != 0 ||
-                      (homeWaiting_.count(line) &&
-                       !homeWaiting_.at(line).empty());
+                      (hw != homeWaiting_.end() && !hw->second.empty());
 
     switch (txn.cmd) {
       case BusCmd::Read:
@@ -394,23 +395,28 @@ CoherenceController::busSnoop(BusTxn &)
 void
 CoherenceController::busDone(BusTxn &txn)
 {
-    auto it = fetches_.find(txn.id);
-    if (it == fetches_.end() && params_.recoveryEnabled) {
-        // The handler that issued this fetch died in a crash; its
-        // originating request was collected for replay and will
-        // fetch again from scratch.
+    Exec *ex = nullptr;
+    for (Engine &e : engines_) {
+        if (e.exec.fetchId == txn.id) {
+            ex = &e.exec;
+            break;
+        }
+    }
+    if (ex == nullptr && params_.recoveryEnabled) {
+        // The handler that issued this fetch died in a crash (which
+        // cleared every pending fetch id); its originating request
+        // was collected for replay and will fetch again from scratch.
         ++statStrayDrops;
         return;
     }
-    ccnuma_assert(it != fetches_.end());
-    std::unique_ptr<Exec> ex = std::move(it->second);
-    fetches_.erase(it);
+    ccnuma_assert(ex != nullptr);
+    ex->fetchId = 0;
     ex->fetchFailed = txn.supply == SupplyDecision::NoData;
     ex->fetchShared = txn.sharedSeen;
     ex->fetchDirty = txn.dirtySupplied;
     if (!ex->fetchFailed && txn.cmd != BusCmd::Inval)
         ex->version = txn.dataVersion;
-    respondPhase(std::move(ex), eq_.curTick());
+    respondPhase(ex->engine, eq_.curTick());
 }
 
 // ---------------------------------------------------------------------
@@ -517,12 +523,14 @@ CoherenceController::netReceive(const Msg &msg)
         auto wit = wbWaiting_.find(line);
         if (wit == wbWaiting_.end())
             return;
-        std::deque<DispatchItem> waiting = std::move(wit->second);
-        wbWaiting_.erase(wit);
+        // enqueue() never touches wbWaiting_, so the list can be
+        // replayed in place before its node is recycled.
+        const ItemList &waiting = wit->second;
         for (auto rit = waiting.rbegin(); rit != waiting.rend();
              ++rit) {
             enqueue(QBusRequest, *rit, /*to_front=*/true);
         }
+        wbWaiting_.erase(wit);
         return;
     }
 
@@ -776,18 +784,42 @@ CoherenceController::drainHomeWaiting(Addr line_addr, Tick t)
     auto it = homeWaiting_.find(line_addr);
     if (it == homeWaiting_.end())
         return;
-    std::deque<DispatchItem> waiting = std::move(it->second);
+    ItemList waiting = takeList();
+    waiting.swap(it->second);
     homeWaiting_.erase(it);
+    replayToFront(std::move(waiting), t);
+}
+
+CoherenceController::ItemList
+CoherenceController::takeList()
+{
+    if (spareLists_.empty())
+        return {};
+    ItemList list = std::move(spareLists_.back());
+    spareLists_.pop_back();
+    return list;
+}
+
+void
+CoherenceController::recycleList(ItemList &&list)
+{
+    list.clear();
+    spareLists_.push_back(std::move(list));
+}
+
+void
+CoherenceController::replayToFront(ItemList &&list, Tick t)
+{
     // Replay in arrival order; push_front in reverse order. (No
     // epoch guard: if a crash lands first, enqueue parks the items
     // with the rest of the outage's replay work.)
     eq_.scheduleFunction(
-        [this, waiting] {
-            for (auto rit = waiting.rbegin(); rit != waiting.rend();
-                 ++rit) {
+        [this, list = std::move(list)]() mutable {
+            for (auto rit = list.rbegin(); rit != list.rend(); ++rit) {
                 enqueue(rit->isBus ? QBusRequest : QNetRequest, *rit,
                         /*to_front=*/true);
             }
+            recycleList(std::move(list));
         },
         t);
 }
@@ -797,20 +829,26 @@ CoherenceController::drainHomeWaiting(Addr line_addr, Tick t)
 // ---------------------------------------------------------------------
 
 void
-CoherenceController::beginHandler(
-    unsigned engine_idx, HandlerId h, Addr line, int extra_targets,
-    CcBusOp bus_op, std::function<void(Exec &, Tick)> action)
+CoherenceController::beginHandler(unsigned engine_idx, HandlerId h,
+                                  Addr line, int extra_targets,
+                                  CcBusOp bus_op, HandlerAction action)
 {
     const HandlerSpec &spec = handlerSpec(h);
-    engines_[engine_idx].curHandler = static_cast<std::uint8_t>(h);
-    engines_[engine_idx].curExtraTargets = extra_targets;
-    auto ex = std::make_unique<Exec>();
-    ex->engine = engine_idx;
-    ex->handler = h;
-    ex->lineAddr = line;
-    ex->extraTargets = extra_targets;
-    ex->busOp = bus_op;
-    ex->action = std::move(action);
+    Engine &en = engines_[engine_idx];
+    en.curHandler = static_cast<std::uint8_t>(h);
+    en.curExtraTargets = extra_targets;
+    Exec &ex = en.exec;
+    ex.engine = engine_idx;
+    ex.handler = h;
+    ex.lineAddr = line;
+    ex.extraTargets = extra_targets;
+    ex.busOp = bus_op;
+    ex.version = 0;
+    ex.fetchFailed = false;
+    ex.fetchShared = false;
+    ex.fetchDirty = false;
+    ex.fetchId = 0;
+    ex.action = std::move(action);
 
     Tick now = eq_.curTick();
     Tick pre_done = now + params_.dispatchLatency +
@@ -818,45 +856,46 @@ CoherenceController::beginHandler(
     if (spec.readsDirectory)
         pre_done = dir_.scheduleRead(line, pre_done, nullptr);
 
-    if (ex->busOp != CcBusOp::None) {
-        BusCmd bc = BusCmd::Read;
-        switch (ex->busOp) {
-          case CcBusOp::FetchRead: bc = BusCmd::Read; break;
-          case CcBusOp::FetchReadExcl: bc = BusCmd::ReadExcl; break;
-          case CcBusOp::InvalOnly: bc = BusCmd::Inval; break;
-          case CcBusOp::None: break;
-        }
-        // The Exec rides by value until the bus request issues.
+    if (bus_op != CcBusOp::None) {
         eq_.scheduleFunction(
-            [this, ex2 = std::move(*ex), bc, line,
-             ep = epoch_]() mutable {
+            [this, engine_idx, ep = epoch_] {
                 if (ep != epoch_) {
                     // The handler died in a crash before its bus
                     // operation issued; its request replays fresh.
                     return;
                 }
-                std::uint64_t id = bus_.request(bc, line, busAgentId_,
-                                                0, /*from_cc=*/true);
-                fetches_[id] =
-                    std::make_unique<Exec>(std::move(ex2));
+                Exec &e = engines_[engine_idx].exec;
+                BusCmd bc = BusCmd::Read;
+                switch (e.busOp) {
+                  case CcBusOp::FetchRead: bc = BusCmd::Read; break;
+                  case CcBusOp::FetchReadExcl:
+                    bc = BusCmd::ReadExcl;
+                    break;
+                  case CcBusOp::InvalOnly: bc = BusCmd::Inval; break;
+                  case CcBusOp::None: break;
+                }
+                e.fetchId = bus_.request(bc, e.lineAddr, busAgentId_,
+                                         0, /*from_cc=*/true);
             },
             pre_done);
     } else {
-        respondPhase(std::move(ex), pre_done);
+        respondPhase(engine_idx, pre_done);
     }
 }
 
 void
-CoherenceController::respondPhase(std::unique_ptr<Exec> ex, Tick t)
+CoherenceController::respondPhase(unsigned engine_idx, Tick t)
 {
-    // By-value Exec capture: see beginHandler's bus-op path.
     eq_.scheduleFunction(
-        [this, e = std::move(*ex), ep = epoch_]() mutable {
+        [this, engine_idx, ep = epoch_] {
             if (ep != epoch_)
                 return; // handler died in a crash
+            Exec &e = engines_[engine_idx].exec;
             Tick now = eq_.curTick();
-            if (e.action)
+            if (e.action) {
                 e.action(e, now);
+                e.action.reset(); // release its captures now
+            }
             const HandlerSpec &spec = handlerSpec(e.handler);
             Tick post = spec.postCost(model_);
             if (spec.movesData) {
@@ -871,7 +910,7 @@ CoherenceController::respondPhase(std::unique_ptr<Exec> ex, Tick t)
                 if (params_.engineType == EngineType::PP)
                     post += params_.ppTransferPoll;
             }
-            finishHandler(e.engine, now + post);
+            finishHandler(engine_idx, now + post);
         },
         t);
 }
@@ -915,10 +954,9 @@ CoherenceController::executeBusItem(unsigned engine_idx,
     // engine spends a send handler where the direct data path would
     // have forwarded the data for free.
     if (item.busCmd == BusCmd::WriteBack) {
-        Msg m = item.msg;
         beginHandler(engine_idx, HandlerId::BusReadRemote, line, 0,
-                     CcBusOp::None,
-                     [this, m](Exec &, Tick t) {
+                     CcBusOp::None, [this](Exec &ex, Tick t) {
+                         const Msg &m = engines_[ex.engine].curItem.msg;
                          sendMsg(m.type, m.lineAddr, m.dst, node_,
                                  m.version, m.ownerRetains, t);
                      });
@@ -979,25 +1017,25 @@ CoherenceController::executeBusItem(unsigned engine_idx,
           }
           case DirState::SharedRemote:
             if (excl) {
-                std::vector<NodeId> targets;
+                std::uint64_t targets = 0;
                 for (NodeId n = 0; n < map_.numNodes(); ++n) {
                     if (d.isSharer(n))
-                        targets.push_back(n);
+                        targets |= 1ull << n;
                 }
-                ccnuma_assert(!targets.empty());
+                ccnuma_assert(targets != 0);
+                const int ntargets = std::popcount(targets);
                 HomeTxn txn;
                 txn.requester = node_;
                 txn.excl = true;
                 txn.localRequest = true;
                 txn.busTxnId = item.busTxnId;
-                txn.acksExpected =
-                    static_cast<unsigned>(targets.size());
+                txn.acksExpected = static_cast<unsigned>(ntargets);
                 txn.original = item;
                 homeBusy_[line] = txn;
                 beginHandler(
                     engine_idx,
                     HandlerId::BusReadExclLocalCachedRemote, line,
-                    static_cast<int>(targets.size()),
+                    ntargets,
                     // Fetch-exclusive: local copies acquired since
                     // the original bus snoop must die with the rest.
                     CcBusOp::FetchReadExcl,
@@ -1006,10 +1044,7 @@ CoherenceController::executeBusItem(unsigned engine_idx,
                         ccnuma_assert(hb != homeBusy_.end());
                         hb->second.dataVersion = ex.version;
                         hb->second.haveData = true;
-                        for (NodeId n : targets) {
-                            sendMsg(MsgType::InvalReq, line, n,
-                                    node_, 0, false, t);
-                        }
+                        sendInvals(line, targets, t);
                     });
                 return;
             }
@@ -1088,25 +1123,20 @@ CoherenceController::executeBusItem(unsigned engine_idx,
         (probe_ != nullptr && probe_->lineCachedLocally(line));
     if ((excl && mod_local) || (!excl && cached_local)) {
         std::uint64_t bus_txn = item.busTxnId;
-        DispatchItem retry = item;
         beginHandler(
             engine_idx,
             excl ? HandlerId::ReadExclFromOwnerForHome
                  : HandlerId::ReadFromOwnerForHome,
             line, 0,
             excl ? CcBusOp::FetchReadExcl : CcBusOp::FetchRead,
-            [this, line, home, bus_txn, excl, retry](Exec &ex,
-                                                     Tick t) {
+            [this, line, home, bus_txn, excl](Exec &ex, Tick t) {
                 if (ex.fetchFailed) {
                     // The copy evaporated between the probe and the
                     // fetch; try again from the top (the retry will
                     // stall on the writeback buffer or go remote).
-                    eq_.scheduleFunction(
-                        [this, retry] {
-                            enqueue(QBusRequest, retry,
-                                    /*to_front=*/true);
-                        },
-                        t);
+                    ItemList retry = takeList();
+                    retry.push_back(engines_[ex.engine].curItem);
+                    replayToFront(std::move(retry), t);
                     return;
                 }
                 if (!excl && ex.fetchDirty) {
@@ -1124,10 +1154,9 @@ CoherenceController::executeBusItem(unsigned engine_idx,
         return;
     }
 
-    ReqPending rp;
+    ReqPending &rp = reqPending_[line];
     rp.excl = excl;
     rp.busTxns.push_back(item.busTxnId);
-    reqPending_[line] = rp;
     const bool resend = item.crashResend;
     beginHandler(engine_idx,
                  excl ? HandlerId::BusReadExclRemote
@@ -1157,19 +1186,26 @@ CoherenceController::completeRequesterFill(Addr line_addr,
     retries_.clear(line_addr);
     for (std::uint64_t txn_id : it->second.busTxns)
         bus_.deferredRespond(txn_id, version, t);
-    std::deque<DispatchItem> conflicting =
-        std::move(it->second.conflicting);
-    reqPending_.erase(it);
-    if (conflicting.empty())
+    if (it->second.conflicting.empty()) {
+        reqPending_.erase(it);
         return;
-    eq_.scheduleFunction(
-        [this, conflicting] {
-            for (auto rit = conflicting.rbegin();
-                 rit != conflicting.rend(); ++rit) {
-                enqueue(QBusRequest, *rit, /*to_front=*/true);
-            }
-        },
-        t);
+    }
+    // Conflicting requests are all bus requests.
+    ItemList conflicting = takeList();
+    conflicting.swap(it->second.conflicting);
+    reqPending_.erase(it);
+    replayToFront(std::move(conflicting), t);
+}
+
+void
+CoherenceController::sendInvals(Addr line, std::uint64_t targets,
+                                Tick t)
+{
+    for (; targets != 0; targets &= targets - 1) {
+        sendMsg(MsgType::InvalReq, line,
+                static_cast<NodeId>(std::countr_zero(targets)), node_,
+                0, false, t);
+    }
 }
 
 void
@@ -1325,14 +1361,14 @@ CoherenceController::executeNetItem(unsigned engine_idx,
         }
 
         // Read-exclusive at home.
-        std::vector<NodeId> targets;
+        std::uint64_t targets = 0;
         if (d.state == DirState::SharedRemote) {
             for (NodeId n = 0; n < map_.numNodes(); ++n) {
                 if (d.isSharer(n) && n != req)
-                    targets.push_back(n);
+                    targets |= 1ull << n;
             }
         }
-        if (targets.empty()) {
+        if (targets == 0) {
             HomeTxn txn;
             txn.requester = req;
             txn.excl = true;
@@ -1354,23 +1390,22 @@ CoherenceController::executeNetItem(unsigned engine_idx,
                 });
             return;
         }
+        const int ntargets = std::popcount(targets);
         HomeTxn txn;
         txn.requester = req;
         txn.excl = true;
-        txn.acksExpected = static_cast<unsigned>(targets.size());
+        txn.acksExpected = static_cast<unsigned>(ntargets);
         txn.original = item;
         homeBusy_[line] = txn;
         beginHandler(
             engine_idx, HandlerId::RemoteReadExclToHomeShared, line,
-            static_cast<int>(targets.size()), CcBusOp::FetchReadExcl,
+            ntargets, CcBusOp::FetchReadExcl,
             [this, line, targets](Exec &ex, Tick t) {
                 auto hb = homeBusy_.find(line);
                 ccnuma_assert(hb != homeBusy_.end());
                 hb->second.dataVersion = ex.version;
                 hb->second.haveData = true;
-                for (NodeId n : targets)
-                    sendMsg(MsgType::InvalReq, line, n, node_, 0,
-                            false, t);
+                sendInvals(line, targets, t);
             });
         return;
       }
@@ -1513,15 +1548,18 @@ CoherenceController::executeNetItem(unsigned engine_idx,
                          line, 0, CcBusOp::None, nullptr);
             return;
         }
-        HomeTxn txn = hb->second;
+        const HomeTxn &txn = hb->second;
+        const bool have_data = txn.haveData;
+        const std::uint64_t data_version = txn.dataVersion;
         if (txn.localRequest) {
+            const std::uint64_t bus_txn = txn.busTxnId;
             beginHandler(
                 engine_idx, HandlerId::InvalAckLastLocal, line, 0,
                 CcBusOp::None,
-                [this, line, txn](Exec &, Tick t) {
-                    ccnuma_assert(txn.haveData);
-                    bus_.deferredRespond(txn.busTxnId,
-                                         txn.dataVersion, t);
+                [this, line, have_data, data_version,
+                 bus_txn](Exec &, Tick t) {
+                    ccnuma_assert(have_data);
+                    bus_.deferredRespond(bus_txn, data_version, t);
                     DirEntry &e = dir_.entry(line);
                     e.state = DirState::Home;
                     e.sharers = 0;
@@ -1529,17 +1567,18 @@ CoherenceController::executeNetItem(unsigned engine_idx,
                     closeHomeTxn(line, t);
                 });
         } else {
+            const NodeId requester = txn.requester;
             beginHandler(
                 engine_idx, HandlerId::InvalAckLastRemote, line, 0,
                 CcBusOp::None,
-                [this, line, txn](Exec &, Tick t) {
-                    ccnuma_assert(txn.haveData);
-                    sendMsg(MsgType::DataExclReply, line,
-                            txn.requester, txn.requester,
-                            txn.dataVersion, false, t);
+                [this, line, have_data, data_version,
+                 requester](Exec &, Tick t) {
+                    ccnuma_assert(have_data);
+                    sendMsg(MsgType::DataExclReply, line, requester,
+                            requester, data_version, false, t);
                     DirEntry &e = dir_.entry(line);
                     e.state = DirState::DirtyRemote;
-                    e.owner = txn.requester;
+                    e.owner = requester;
                     e.sharers = 0;
                     dir_.scheduleWrite(line, t);
                     closeHomeTxn(line, t);
@@ -1587,8 +1626,8 @@ CoherenceController::executeNetItem(unsigned engine_idx,
             return;
         }
         ccnuma_assert(hb != homeBusy_.end());
-        HomeTxn txn = hb->second;
-        ccnuma_assert(txn.localRequest && !txn.excl);
+        ccnuma_assert(hb->second.localRequest && !hb->second.excl);
+        const std::uint64_t bus_txn = hb->second.busTxnId;
         retries_.clear(line); // forward finally answered
 
         NodeId owner = msg.src;
@@ -1597,9 +1636,9 @@ CoherenceController::executeNetItem(unsigned engine_idx,
         beginHandler(
             engine_idx, HandlerId::OwnerDataToHomeRead, line, 0,
             CcBusOp::None,
-            [this, line, txn, owner, retains, version](Exec &,
-                                                       Tick t) {
-                bus_.deferredRespond(txn.busTxnId, version, t);
+            [this, line, bus_txn, owner, retains, version](Exec &,
+                                                          Tick t) {
+                bus_.deferredRespond(bus_txn, version, t);
                 // Memory reflects the owner's data (posted write
                 // riding the same transfer).
                 writeHomeMemory(line, version, t);
@@ -1626,16 +1665,16 @@ CoherenceController::executeNetItem(unsigned engine_idx,
             return;
         }
         ccnuma_assert(hb != homeBusy_.end());
-        HomeTxn txn = hb->second;
-        ccnuma_assert(txn.localRequest && txn.excl);
+        ccnuma_assert(hb->second.localRequest && hb->second.excl);
+        const std::uint64_t bus_txn = hb->second.busTxnId;
         retries_.clear(line); // forward finally answered
 
         std::uint64_t version = msg.version;
         beginHandler(
             engine_idx, HandlerId::OwnerDataToHomeReadExcl, line, 0,
             CcBusOp::None,
-            [this, line, txn, version](Exec &, Tick t) {
-                bus_.deferredRespond(txn.busTxnId, version, t);
+            [this, line, bus_txn, version](Exec &, Tick t) {
+                bus_.deferredRespond(bus_txn, version, t);
                 DirEntry &e = dir_.entry(line);
                 e.state = DirState::Home;
                 e.sharers = 0;
@@ -1670,7 +1709,7 @@ CoherenceController::executeNetItem(unsigned engine_idx,
                             msg.requester != msg.src &&
                             msg.requester == hb->second.requester;
         if (closes) {
-            HomeTxn txn = hb->second;
+            const NodeId requester = hb->second.requester;
             bool retains = msg.ownerRetains;
             std::uint64_t version = msg.version;
             retries_.clear(line); // forward finally answered
@@ -1678,13 +1717,13 @@ CoherenceController::executeNetItem(unsigned engine_idx,
                 engine_idx,
                 HandlerId::OwnerWriteBackToHomeRemoteRead, line, 0,
                 CcBusOp::None,
-                [this, line, txn, owner, retains, version](Exec &,
-                                                           Tick t) {
+                [this, line, requester, owner, retains,
+                 version](Exec &, Tick t) {
                     writeHomeMemory(line, version, t);
                     DirEntry &e = dir_.entry(line);
                     e.state = DirState::SharedRemote;
                     e.sharers = 0;
-                    e.addSharer(txn.requester);
+                    e.addSharer(requester);
                     if (retains)
                         e.addSharer(owner);
                     dir_.scheduleWrite(line, t);
@@ -1732,17 +1771,17 @@ CoherenceController::executeNetItem(unsigned engine_idx,
             return;
         }
         ccnuma_assert(hb != homeBusy_.end());
-        HomeTxn txn = hb->second;
-        ccnuma_assert(txn.excl && !txn.localRequest);
+        ccnuma_assert(hb->second.excl && !hb->second.localRequest);
+        const NodeId requester = hb->second.requester;
         retries_.clear(line); // forward finally answered
 
         beginHandler(
             engine_idx, HandlerId::OwnerAckToHomeRemoteReadExcl, line,
             0, CcBusOp::None,
-            [this, line, txn](Exec &, Tick t) {
+            [this, line, requester](Exec &, Tick t) {
                 DirEntry &e = dir_.entry(line);
                 e.state = DirState::DirtyRemote;
-                e.owner = txn.requester;
+                e.owner = requester;
                 e.sharers = 0;
                 dir_.scheduleWrite(line, t);
                 closeHomeTxn(line, t);
@@ -1809,29 +1848,24 @@ CoherenceController::executeNetItem(unsigned engine_idx,
             [this, line, backoff](Exec &, Tick t) {
                 auto it = reqPending_.find(line);
                 ccnuma_assert(it != reqPending_.end());
-                ReqPending rp = std::move(it->second);
+                const ReqPending &rp = it->second;
+                // Re-present every request from the top: merged
+                // reads first, then the conflicting requests, each
+                // pushed to the queue front (so listed last first).
+                ItemList retry = takeList();
+                for (std::uint64_t txn : rp.busTxns) {
+                    DispatchItem item;
+                    item.isBus = true;
+                    item.busTxnId = txn;
+                    item.lineAddr = line;
+                    item.busCmd =
+                        rp.excl ? BusCmd::ReadExcl : BusCmd::Read;
+                    retry.push_back(item);
+                }
+                retry.insert(retry.end(), rp.conflicting.begin(),
+                             rp.conflicting.end());
                 reqPending_.erase(it);
-                eq_.scheduleFunction(
-                    [this, line, rp] {
-                        for (auto cit = rp.conflicting.rbegin();
-                             cit != rp.conflicting.rend(); ++cit) {
-                            enqueue(QBusRequest, *cit,
-                                    /*to_front=*/true);
-                        }
-                        for (auto tit = rp.busTxns.rbegin();
-                             tit != rp.busTxns.rend(); ++tit) {
-                            DispatchItem item;
-                            item.isBus = true;
-                            item.busTxnId = *tit;
-                            item.lineAddr = line;
-                            item.busCmd = rp.excl
-                                              ? BusCmd::ReadExcl
-                                              : BusCmd::Read;
-                            enqueue(QBusRequest, item,
-                                    /*to_front=*/true);
-                        }
-                    },
-                    t + backoff);
+                replayToFront(std::move(retry), t + backoff);
             });
         return;
       }
@@ -1849,22 +1883,32 @@ CoherenceController::executeNetItem(unsigned engine_idx,
             return;
         }
         ccnuma_assert(it != reqPending_.end());
-        ReqPending rp = std::move(it->second);
+        // Every deferred bus transaction on the line, merged reads
+        // first, then the conflicting requests.
+        ItemList dead = takeList();
+        for (std::uint64_t txn : it->second.busTxns) {
+            DispatchItem di;
+            di.isBus = true;
+            di.busTxnId = txn;
+            dead.push_back(di);
+        }
+        dead.insert(dead.end(), it->second.conflicting.begin(),
+                    it->second.conflicting.end());
         reqPending_.erase(it);
         missLadders_.erase(line);
         retries_.clear(line);
         beginHandler(
             engine_idx, HandlerId::OwnerNackAtHome, line, 0,
             CcBusOp::None,
-            [this, line, rp](Exec &, Tick t) {
+            [this, line, dead = std::move(dead)](Exec &,
+                                                 Tick t) mutable {
                 if (poisonFence_)
                     poisonFence_(line);
-                for (std::uint64_t txn : rp.busTxns)
-                    bus_.deferredRespond(txn, 0, t);
-                for (const auto &c : rp.conflicting) {
+                for (const auto &c : dead) {
                     if (c.busTxnId != 0)
                         bus_.deferredRespond(c.busTxnId, 0, t);
                 }
+                recycleList(std::move(dead));
             });
         return;
       }
@@ -1877,42 +1921,38 @@ CoherenceController::executeNetItem(unsigned engine_idx,
         }
         ++statNacks;
         ccnuma_assert(hb != homeBusy_.end());
-        DispatchItem original = hb->second.original;
         const Tick backoff = retryDelay(line, "owner-nacked forward");
         beginHandler(
             engine_idx, HandlerId::OwnerNackAtHome, line, 0,
             CcBusOp::None,
-            [this, line, original, backoff](Exec &, Tick t) {
+            [this, line, backoff](Exec &, Tick t) {
+                auto open = homeBusy_.find(line);
+                ccnuma_assert(open != homeBusy_.end());
+                ItemList retry = takeList();
+                retry.push_back(open->second.original);
                 closeHomeTxn(line, t);
-                eq_.scheduleFunction(
-                    [this, original] {
-                        DispatchItem item = original;
-                        enqueue(item.isBus ? QBusRequest
-                                           : QNetRequest,
-                                item, /*to_front=*/true);
-                    },
-                    t + backoff);
+                replayToFront(std::move(retry), t + backoff);
             });
         return;
       }
 
+      // The recovery handlers below read their message from the
+      // engine's item in flight rather than capturing it.
       case MsgType::DirProbe: {
         // A restarted home is rebuilding its directory: report every
         // local copy of a line homed there.
-        const Msg m = msg;
         beginHandler(engine_idx, HandlerId::DirProbeAtSharer, line, 0,
-                     CcBusOp::None,
-                     [this, m](Exec &, Tick t) {
-                         answerDirProbe(m, t);
+                     CcBusOp::None, [this](Exec &ex, Tick t) {
+                         answerDirProbe(
+                             engines_[ex.engine].curItem.msg, t);
                      });
         return;
       }
 
       case MsgType::DirProbeResp: {
-        const Msg m = msg;
         beginHandler(engine_idx, HandlerId::DirProbeRespAtHome, line,
-                     0, CcBusOp::None,
-                     [this, m](Exec &, Tick t) {
+                     0, CcBusOp::None, [this](Exec &ex, Tick t) {
+                         const Msg &m = engines_[ex.engine].curItem.msg;
                          applyProbeResp(m);
                          dir_.scheduleWrite(m.lineAddr, t);
                          maybeAdvanceRebuild(t);
@@ -1921,15 +1961,14 @@ CoherenceController::executeNetItem(unsigned engine_idx,
       }
 
       case MsgType::DirProbeDone: {
-        const Msg m = msg;
         beginHandler(
             engine_idx, HandlerId::DirProbeRespAtHome, line, 0,
-            CcBusOp::None,
-            [this, m](Exec &, Tick t) {
+            CcBusOp::None, [this](Exec &ex, Tick t) {
                 ccnuma_assert(state_ == CcState::Recovering);
                 ccnuma_assert(probeDonesOutstanding_ > 0);
                 --probeDonesOutstanding_;
-                probeRespsExpected_ += m.version;
+                probeRespsExpected_ +=
+                    engines_[ex.engine].curItem.msg.version;
                 maybeAdvanceRebuild(t);
             });
         return;
@@ -2011,6 +2050,10 @@ CoherenceController::crash(bool lose_directory)
     for (auto &e : engines_) {
         if (e.curItemValid)
             keep(e.curItem);
+        // A completion for this fetch now finds no engine and counts
+        // as a stray drop.
+        e.exec.fetchId = 0;
+        e.exec.action.reset();
         e.busy = false;
         e.curItemValid = false;
         e.curLineValid = false;
@@ -2058,7 +2101,6 @@ CoherenceController::crash(bool lose_directory)
     }
     reqPending_.clear();
     deferredLocal_.clear();
-    fetches_.clear();
     missLadders_.clear();
     // All in-flight operations died with the card; their per-line
     // retry streaks are meaningless now.
@@ -2338,12 +2380,12 @@ CoherenceController::drainWbHomedAt(NodeId home)
         auto wit = wbWaiting_.find(line);
         if (wit == wbWaiting_.end())
             continue;
-        std::deque<DispatchItem> waiting = std::move(wit->second);
-        wbWaiting_.erase(wit);
+        const ItemList &waiting = wit->second;
         for (auto rit = waiting.rbegin(); rit != waiting.rend();
              ++rit) {
             enqueue(QBusRequest, *rit, /*to_front=*/true);
         }
+        wbWaiting_.erase(wit);
     }
     return out;
 }
@@ -2397,6 +2439,8 @@ CoherenceController::shutdownPermanently()
         e.curLineValid = false;
         e.curHandler = 0xff;
         e.curExtraTargets = 0;
+        e.exec.fetchId = 0;
+        e.exec.action.reset();
         for (auto &q : e.queues)
             q.clear();
     }
@@ -2406,7 +2450,6 @@ CoherenceController::shutdownPermanently()
     wbBuffer_.clear();
     wbWaiting_.clear();
     deferredLocal_.clear();
-    fetches_.clear();
     crashReplay_.clear();
     rebuildParkedWb_.clear();
     missLadders_.clear();
@@ -2431,8 +2474,7 @@ CoherenceController::idle() const
         return false;
     }
     if (!homeBusy_.empty() || !reqPending_.empty() ||
-        !fetches_.empty() || !wbBuffer_.empty() ||
-        !deferredLocal_.empty()) {
+        !wbBuffer_.empty() || !deferredLocal_.empty()) {
         return false;
     }
     for (const auto &kv : homeWaiting_) {
@@ -2480,11 +2522,9 @@ CoherenceController::lineQuiet(Addr line_addr) const
         it != wbWaiting_.end() && !it->second.empty()) {
         return false;
     }
-    for (const auto &kv : fetches_) {
-        if (kv.second->lineAddr == line_addr)
-            return false;
-    }
     for (const auto &e : engines_) {
+        if (e.exec.fetchId != 0 && e.exec.lineAddr == line_addr)
+            return false;
         if (e.busy && e.curLineValid && e.curLine == line_addr)
             return false;
         for (const auto &q : e.queues) {

@@ -35,7 +35,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <ostream>
 #include <string>
 #include <unordered_map>
@@ -53,6 +52,9 @@
 #include "protocol/occupancy.hh"
 #include "protocol/retry.hh"
 #include "sim/event_queue.hh"
+#include "sim/inplace_function.hh"
+#include "sim/recycling_map.hh"
+#include "sim/ring_deque.hh"
 #include "sim/stats.hh"
 
 namespace ccnuma
@@ -521,6 +523,33 @@ class CoherenceController : public BusAgent, public BusCoherenceHook
         bool crashResend = false;
     };
 
+    struct Exec;
+
+    /**
+     * Protocol consequences of a handler, run at its respond point.
+     * Stored in place: a capture that outgrows the capacity fails to
+     * compile (read the dispatched item from Engine::curItem instead
+     * of capturing it).
+     */
+    using HandlerAction = InplaceFunction<void(Exec &, Tick), 48>;
+
+    /** Context of a handler execution in flight. */
+    struct Exec
+    {
+        unsigned engine = 0;
+        HandlerId handler = HandlerId::BusReadRemote;
+        Addr lineAddr = 0;
+        int extraTargets = 0;
+        CcBusOp busOp = CcBusOp::None;
+        std::uint64_t version = 0;  ///< data version once known
+        bool fetchFailed = false;   ///< bus fetch found no data
+        bool fetchShared = false;   ///< a cache retained a copy
+        bool fetchDirty = false;    ///< a Modified copy was demoted
+        /** Bus transaction of the pending fetch (0 = none). */
+        std::uint64_t fetchId = 0;
+        HandlerAction action;
+    };
+
     /** A protocol engine (FSM or protocol processor). */
     struct Engine
     {
@@ -530,7 +559,7 @@ class CoherenceController : public BusAgent, public BusCoherenceHook
         /** Line of the handler in flight (valid while busy). */
         Addr curLine = 0;
         bool curLineValid = false;
-        std::deque<DispatchItem> queues[NumQueues];
+        RingDeque<DispatchItem> queues[NumQueues];
         unsigned netBypass = 0; ///< net requests since a bus request
         unsigned stallStreak = 0; ///< consecutive injected stalls
         /** Handler in flight for the tracer (0xff = none). */
@@ -543,6 +572,12 @@ class CoherenceController : public BusAgent, public BusCoherenceHook
          */
         DispatchItem curItem;
         bool curItemValid = false;
+        /**
+         * The handler in flight. An engine runs one handler at a time
+         * (busy from dispatch until finishHandler, across any bus
+         * fetch), so its context lives here rather than on the heap.
+         */
+        Exec exec;
         // measurement
         Tick occupancyTicks = 0;
         std::uint64_t arrivals = 0;
@@ -569,7 +604,16 @@ class CoherenceController : public BusAgent, public BusCoherenceHook
     {
         bool excl = false;
         std::vector<std::uint64_t> busTxns;
-        std::deque<DispatchItem> conflicting;
+        std::vector<DispatchItem> conflicting;
+
+        /** Reset for reuse, keeping the vectors' capacity. */
+        void
+        clear()
+        {
+            excl = false;
+            busTxns.clear();
+            conflicting.clear();
+        }
     };
 
     /** Writeback buffer entry (data awaiting the home's ack). */
@@ -578,21 +622,8 @@ class CoherenceController : public BusAgent, public BusCoherenceHook
         std::uint64_t version = 0;
     };
 
-    /** Context of a handler execution in flight. */
-    struct Exec
-    {
-        unsigned engine = 0;
-        HandlerId handler = HandlerId::BusReadRemote;
-        Addr lineAddr = 0;
-        int extraTargets = 0;
-        CcBusOp busOp = CcBusOp::None;
-        std::uint64_t version = 0;  ///< data version once known
-        bool fetchFailed = false;   ///< bus fetch found no data
-        bool fetchShared = false;   ///< a cache retained a copy
-        bool fetchDirty = false;    ///< a Modified copy was demoted
-        /** Protocol consequences, run at the respond point. */
-        std::function<void(Exec &, Tick)> action;
-    };
+    /** Requests parked per line, in arrival order. */
+    using ItemList = std::vector<DispatchItem>;
 
     // enqueue / dispatch machinery
     void enqueue(unsigned queue, DispatchItem item,
@@ -605,9 +636,22 @@ class CoherenceController : public BusAgent, public BusCoherenceHook
     // handler execution
     void beginHandler(unsigned engine_idx, HandlerId h, Addr line,
                       int extra_targets, CcBusOp bus_op,
-                      std::function<void(Exec &, Tick)> action);
-    void respondPhase(std::unique_ptr<Exec> ex, Tick t);
+                      HandlerAction action);
+    void respondPhase(unsigned engine_idx, Tick t);
     void finishHandler(unsigned engine_idx, Tick free_at);
+
+    /**
+     * An empty item list from the spare pool. Lists carried by
+     * scheduled continuations return through recycleList(), so a
+     * warm controller parks and replays requests without allocating.
+     */
+    ItemList takeList();
+    void recycleList(ItemList &&list);
+    /** Schedule enqueue(QBusRequest/QNetRequest, to_front) of
+     * @p list's items, last first, at @p t. Single-item retries go
+     * through here too: `this` plus a DispatchItem outgrows
+     * SmallCallback::inlineBytes and would fall back to the heap. */
+    void replayToFront(ItemList &&list, Tick t);
 
     // protocol decision helpers
     void executeBusItem(unsigned engine_idx, DispatchItem &item);
@@ -618,6 +662,8 @@ class CoherenceController : public BusAgent, public BusCoherenceHook
     void drainHomeWaiting(Addr line_addr, Tick t);
     void completeRequesterFill(Addr line_addr, std::uint64_t version,
                                Tick t);
+    /** Send InvalReq for @p line to each node set in @p targets. */
+    void sendInvals(Addr line, std::uint64_t targets, Tick t);
     void sendMsg(MsgType type, Addr line_addr, NodeId dst,
                  NodeId requester, std::uint64_t version, bool retains,
                  Tick t, bool recovery_resend = false);
@@ -675,21 +721,21 @@ class CoherenceController : public BusAgent, public BusCoherenceHook
     int busAgentId_ = -1;
 
     std::vector<Engine> engines_;
-    std::unordered_map<Addr, HomeTxn> homeBusy_;
+    RecyclingMap<Addr, HomeTxn> homeBusy_;
     /** Local-line bus requests deferred but not yet dispatched. */
-    std::unordered_map<Addr, unsigned> deferredLocal_;
-    std::unordered_map<Addr, std::deque<DispatchItem>> homeWaiting_;
-    std::unordered_map<Addr, ReqPending> reqPending_;
-    std::unordered_map<Addr, WbEntry> wbBuffer_;
+    RecyclingMap<Addr, unsigned> deferredLocal_;
+    RecyclingMap<Addr, ItemList> homeWaiting_;
+    RecyclingMap<Addr, ReqPending> reqPending_;
+    RecyclingMap<Addr, WbEntry> wbBuffer_;
     /**
      * Local requests stalled behind an unacknowledged writeback of
      * the same line: they may only be sent to the home after the
      * home has absorbed our writeback, preserving the protocol's
      * request-follows-writeback ordering.
      */
-    std::unordered_map<Addr, std::deque<DispatchItem>> wbWaiting_;
-    /** Bus fetches in flight, by bus transaction id. */
-    std::unordered_map<std::uint64_t, std::unique_ptr<Exec>> fetches_;
+    RecyclingMap<Addr, ItemList> wbWaiting_;
+    /** Empty item lists (with capacity) for reuse; see takeList(). */
+    std::vector<ItemList> spareLists_;
 
     // --- crash-recovery state (PR 6) ---
     CcState state_ = CcState::Normal;

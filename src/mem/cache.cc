@@ -1,5 +1,6 @@
 #include "mem/cache.hh"
 
+#include <algorithm>
 #include <bit>
 
 namespace ccnuma
@@ -38,16 +39,11 @@ SetAssocCache::SetAssocCache(const std::string &name,
               name.c_str(), numSets_);
     lineShift_ = std::countr_zero(static_cast<unsigned>(lineBytes_));
     lines_.resize(num_lines);
+    tags_.assign(num_lines, kNoLineNum);
 
     statGroup_.add(&statEvictions);
     statGroup_.add(&statDirtyEvictions);
     statGroup_.add(&statInvalidations);
-}
-
-std::size_t
-SetAssocCache::setIndex(Addr addr) const
-{
-    return (addr >> lineShift_) & (numSets_ - 1);
 }
 
 CacheLine *
@@ -56,14 +52,17 @@ SetAssocCache::findLine(Addr addr)
     // Resolve before the tag compare: a corrupted tag must never
     // produce a false hit (or mask a true one).
     resolvePending();
-    // Invalid lines carry kNoLineTag, so tag equality alone decides a
-    // hit; the way loop is branch-per-compare over one contiguous set.
-    Addr la = lineAlign(addr);
-    CacheLine *line = lines_.data() + setIndex(addr) * assoc_;
-    CacheLine *end = line + assoc_;
-    for (; line != end; ++line) {
-        if (line->lineAddr == la)
-            return line;
+    // Empty ways carry kNoLineNum, so tag equality alone decides a
+    // hit; the way loop reads only the set's packed tags.
+    Addr ln = addr >> lineShift_;
+    if (ln >= kNoLineNum)
+        return nullptr; // allocate() never admits such a line
+    const std::uint32_t tag = static_cast<std::uint32_t>(ln);
+    const std::size_t base = (ln & (numSets_ - 1)) * assoc_;
+    const std::uint32_t *tags = tags_.data() + base;
+    for (unsigned w = 0; w < assoc_; ++w) {
+        if (tags[w] == tag)
+            return &lines_[base + w];
     }
     return nullptr;
 }
@@ -79,34 +78,45 @@ SetAssocCache::allocate(Addr addr, LineState st, Victim *victim)
 {
     resolvePending();
     Addr la = lineAlign(addr);
+    Addr ln = addr >> lineShift_;
+    if (ln >= kNoLineNum) {
+        fatal("cache %s: line address %#llx does not fit the 32-bit "
+              "packed tag (line numbers must stay below %#llx)",
+              name_.c_str(), (unsigned long long)la,
+              (unsigned long long)kNoLineNum);
+    }
     ccnuma_assert(findLine(addr) == nullptr);
-    std::size_t base = setIndex(addr) * assoc_;
-    CacheLine *target = nullptr;
-    for (unsigned w = 0; w < assoc_; ++w) {
-        CacheLine &line = lines_[base + w];
+    const std::size_t base = (ln & (numSets_ - 1)) * assoc_;
+    std::size_t target = base + assoc_;
+    for (std::size_t i = base; i < base + assoc_; ++i) {
+        const CacheLine &line = lines_[i];
         if (!lineValid(line.state)) {
-            target = &line;
+            target = i;
             break;
         }
-        if (!target || line.lastUse < target->lastUse)
-            target = &line;
+        if (target == base + assoc_ ||
+            line.lastUse < lines_[target].lastUse) {
+            target = i;
+        }
     }
+    CacheLine *t = &lines_[target];
     if (victim) {
-        victim->valid = lineValid(target->state);
-        victim->lineAddr = target->lineAddr;
-        victim->state = target->state;
-        victim->version = target->version;
+        victim->valid = lineValid(t->state);
+        victim->lineAddr = t->lineAddr;
+        victim->state = t->state;
+        victim->version = t->version;
     }
-    if (lineValid(target->state)) {
+    if (lineValid(t->state)) {
         ++statEvictions;
-        if (target->state == LineState::Modified)
+        if (t->state == LineState::Modified)
             ++statDirtyEvictions;
     }
-    target->lineAddr = la;
-    target->state = st;
-    target->version = 0;
-    touch(target);
-    return target;
+    t->lineAddr = la;
+    t->state = st;
+    t->version = 0;
+    tags_[target] = static_cast<std::uint32_t>(ln);
+    touch(t);
+    return t;
 }
 
 LineState
@@ -118,6 +128,7 @@ SetAssocCache::invalidate(Addr addr)
     LineState prior = line->state;
     line->state = LineState::Invalid;
     line->lineAddr = kNoLineTag;
+    tags_[static_cast<std::size_t>(line - lines_.data())] = kNoLineNum;
     ++statInvalidations;
     return prior;
 }
@@ -132,6 +143,7 @@ SetAssocCache::invalidateAll()
         line.state = LineState::Invalid;
         line.lineAddr = kNoLineTag;
     }
+    std::fill(tags_.begin(), tags_.end(), kNoLineNum);
 }
 
 std::size_t
@@ -199,6 +211,7 @@ SetAssocCache::injectCeFlip(Random &rng)
     ce.check = check;
     ce.corrupted = data;
     unpackWord(l, word, data);
+    syncTag(idx);
     pendingCe_.push_back(ce);
     return victim_addr;
 }
@@ -215,6 +228,7 @@ SetAssocCache::resolvePendingSlow() const
                       r.status == ecc::EccStatus::CorrectedCheck);
         ccnuma_assert(r.data == ce.shadow);
         unpackWord(l, ce.word, r.data);
+        syncTag(ce.lineIdx);
         ++eccCorrected_;
     }
 }

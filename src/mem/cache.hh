@@ -7,6 +7,11 @@
  * this class provides state, replacement, and bookkeeping. Lines carry
  * a version number used by the coherence invariant checker (each
  * machine-wide store bumps the line's version), not simulated data.
+ *
+ * Lookups scan a dense per-set array of 32-bit line numbers (16 B
+ * for a 4-way set) rather than the 32-byte line entries, so the
+ * snoop and access probes on the miss path read one host cache line
+ * per set.
  */
 
 #ifndef CCNUMA_MEM_CACHE_HH
@@ -51,6 +56,12 @@ lineValid(LineState s)
  * without also testing the state byte.
  */
 inline constexpr Addr kNoLineTag = ~static_cast<Addr>(0);
+
+/**
+ * Packed tag of a way that holds no line. Line numbers at or above
+ * it do not fit the packed tag array; allocate() rejects them.
+ */
+inline constexpr std::uint32_t kNoLineNum = ~std::uint32_t(0);
 
 /** One cache line's tag/state entry. */
 struct CacheLine
@@ -125,7 +136,10 @@ class SetAssocCache
     /** Invalidate @p addr if present. @return prior state. */
     LineState invalidate(Addr addr);
 
-    /** Visit every valid line (used by the invariant checker). */
+    /**
+     * Visit every valid line (used by the invariant checker).
+     * Visitors read the line; they must not change its tag.
+     */
     template <typename F>
     void
     forEachLine(F &&f) const
@@ -183,7 +197,17 @@ class SetAssocCache
         "lines invalidated by external request"};
 
   private:
-    std::size_t setIndex(Addr addr) const;
+    /**
+     * Re-derive the packed tag of line @p idx from its lineAddr
+     * (kNoLineTag, like any number too wide, packs to kNoLineNum).
+     */
+    void
+    syncTag(std::size_t idx) const
+    {
+        Addr ln = lines_[idx].lineAddr >> lineShift_;
+        tags_[idx] = ln < kNoLineNum ? static_cast<std::uint32_t>(ln)
+                                     : kNoLineNum;
+    }
 
     /** One latent single-bit corruption awaiting correction. */
     struct PendingCe
@@ -226,6 +250,11 @@ class SetAssocCache
     unsigned numSets_;
     unsigned lineShift_;
     mutable std::vector<CacheLine> lines_; ///< set-major
+    /**
+     * Line number of each way, parallel to lines_ (kNoLineNum when
+     * the way is empty). The lookup loops scan this array only.
+     */
+    mutable std::vector<std::uint32_t> tags_;
     std::uint64_t useClock_ = 0;
     mutable std::vector<PendingCe> pendingCe_;
     mutable std::uint64_t eccCorrected_ = 0;

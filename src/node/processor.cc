@@ -135,26 +135,40 @@ Processor::issueMiss(ThreadOp op)
     if (killed_)
         return;
     ++misses_;
-    Tick issue = eq_.curTick();
-    bool write = op.kind == ThreadOp::Kind::Store;
-    Addr addr = op.addr;
+    missAddr_ = op.addr;
+    missWrite_ = op.kind == ThreadOp::Kind::Store;
+    missIssue_ = eq_.curTick();
     if (tracer_)
-        tracer_->missBegin(id_, addr, write, issue);
-    eq_.scheduleFunctionIn(
-        [this, addr, write, issue] {
-            cache_.startMiss(
-                addr, write,
-                [this, addr, write, issue](Tick restart,
-                                           std::uint64_t version) {
-                    stallTicks_ += restart - issue;
-                    if (tracer_)
-                        tracer_->missEnd(id_, restart);
-                    if (!write)
-                        checkRead(addr, version);
-                    resumeAt(restart);
-                });
-        },
-        params_.missDetect);
+        tracer_->missBegin(id_, missAddr_, missWrite_, missIssue_);
+    eq_.scheduleFunctionIn([this] { startMiss(); }, params_.missDetect);
+}
+
+void
+Processor::startMiss()
+{
+    cache_.startMiss(missAddr_, missWrite_,
+                     [this](Tick restart, std::uint64_t version) {
+                         missRestart(restart, version);
+                     });
+}
+
+void
+Processor::missRestart(Tick restart, std::uint64_t version)
+{
+    stallTicks_ += restart - missIssue_;
+    if (syncThen_) {
+        // A sync-variable miss: untraced, no monotonic-read check;
+        // the sync protocol continues at the restart tick.
+        std::function<void()> then = std::move(syncThen_);
+        syncThen_ = nullptr;
+        eq_.scheduleFunction(std::move(then), restart);
+        return;
+    }
+    if (tracer_)
+        tracer_->missEnd(id_, restart);
+    if (!missWrite_)
+        checkRead(missAddr_, version);
+    resumeAt(restart);
 }
 
 void
@@ -173,17 +187,11 @@ Processor::syncRef(Addr addr, bool write, std::function<void()> then)
         return;
     }
     ++misses_;
-    Tick issue = eq_.curTick();
-    eq_.scheduleFunctionIn(
-        [this, addr, write, issue, then = std::move(then)] {
-            cache_.startMiss(addr, write,
-                             [this, issue, then](Tick restart,
-                                                 std::uint64_t) {
-                                 stallTicks_ += restart - issue;
-                                 eq_.scheduleFunction(then, restart);
-                             });
-        },
-        params_.missDetect);
+    missAddr_ = addr;
+    missWrite_ = write;
+    missIssue_ = eq_.curTick();
+    syncThen_ = std::move(then);
+    eq_.scheduleFunctionIn([this] { startMiss(); }, params_.missDetect);
 }
 
 void

@@ -95,6 +95,10 @@ class Processor
   private:
     void run();
     void issueMiss(ThreadOp op);
+    /** Hand the outstanding miss to the cache unit's MSHR. */
+    void startMiss();
+    /** The outstanding miss's fill arrived: restart at @p restart. */
+    void missRestart(Tick restart, std::uint64_t version);
     void doSync(ThreadOp op);
     /** Access a sync variable, then continue with @p then. */
     void syncRef(Addr addr, bool write, std::function<void()> then);
@@ -126,6 +130,16 @@ class Processor
     Tick syncWaitTicks_ = 0;
 
     std::unordered_map<Addr, std::uint64_t> lastSeen_;
+
+    /**
+     * The one outstanding miss (the processor blocks on it), kept
+     * here so the cache unit's restart callback captures only this.
+     */
+    Addr missAddr_ = 0;
+    bool missWrite_ = false;
+    Tick missIssue_ = 0;
+    /** Continuation of an outstanding sync-variable miss, if any. */
+    std::function<void()> syncThen_;
 
     /**
      * Reusable execute event: one instance serves every start/resume

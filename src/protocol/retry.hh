@@ -20,8 +20,8 @@
 #define CCNUMA_PROTOCOL_RETRY_HH
 
 #include <cstdint>
-#include <unordered_map>
 
+#include "sim/recycling_map.hh"
 #include "sim/types.hh"
 
 namespace ccnuma
@@ -76,7 +76,8 @@ class RetryTracker
 
   private:
     RetryPolicyParams p_;
-    std::unordered_map<std::uint64_t, unsigned> counts_;
+    /** Erased entries keep their nodes, so a nack never allocates. */
+    RecyclingMap<std::uint64_t, unsigned> counts_;
 };
 
 /**

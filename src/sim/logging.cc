@@ -1,6 +1,9 @@
 #include "sim/logging.hh"
 
+#include <cctype>
+#include <cerrno>
 #include <cstdarg>
+#include <cstdlib>
 #include <vector>
 
 namespace ccnuma
@@ -28,6 +31,25 @@ format(const char *fmt, ...)
 }
 
 } // namespace logging_detail
+
+bool
+envPositiveInt(const char *name, std::uint64_t &value)
+{
+    const char *env = std::getenv(name);
+    if (env == nullptr)
+        return false;
+    char *end = nullptr;
+    errno = 0;
+    unsigned long long v = std::strtoull(env, &end, 10);
+    if (std::isdigit(static_cast<unsigned char>(env[0])) &&
+        *end == '\0' && errno == 0 && v >= 1) {
+        value = v;
+        return true;
+    }
+    warn("%s=%s not recognized (use a positive integer); it stays "
+         "%llu", name, env, (unsigned long long)value);
+    return false;
+}
 
 bool
 traceLineEnabled(std::uint64_t line_addr)

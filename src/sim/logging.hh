@@ -76,6 +76,14 @@ inform(const char *fmt, Args... args)
 }
 
 /**
+ * Read the positive-integer environment knob @p name into @p value.
+ * Only a plain decimal integer >= 1 is taken; anything else ("abc",
+ * "0", "-5", "256M", "") is warned about and leaves @p value as it
+ * was. @return true when the knob was set and taken.
+ */
+bool envPositiveInt(const char *name, std::uint64_t &value);
+
+/**
  * Line-granular protocol tracing: returns true when @p line_addr
  * matches the CCNUMA_TRACE_LINE environment variable (hex). Used by
  * protocol components to emit debug traces for one cache line.

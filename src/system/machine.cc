@@ -1,8 +1,6 @@
 #include "system/machine.hh"
 
 #include <algorithm>
-#include <cctype>
-#include <cerrno>
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
@@ -83,19 +81,7 @@ Machine::Machine(const MachineConfig &cfg)
     // CCNUMA_MAX_TICKS overrides the run's tick limit. A zero or
     // unparsable limit would stop the run at tick 0 and report a
     // wedge, so only a positive integer is taken.
-    if (const char *env = std::getenv("CCNUMA_MAX_TICKS")) {
-        char *end = nullptr;
-        errno = 0;
-        unsigned long long v = std::strtoull(env, &end, 10);
-        if (std::isdigit(static_cast<unsigned char>(env[0])) &&
-            *end == '\0' && errno == 0 && v >= 1) {
-            cfg_.maxTicks = static_cast<Tick>(v);
-        } else {
-            warn("CCNUMA_MAX_TICKS=%s not recognized (use a positive "
-                 "integer); the limit stays %llu", env,
-                 (unsigned long long)cfg_.maxTicks);
-        }
-    }
+    envPositiveInt("CCNUMA_MAX_TICKS", cfg_.maxTicks);
     // CCNUMA_WINDOW overrides the sharded window policy. Every
     // policy is bit-identical; this is a wall-clock ablation knob.
     if (const char *env = std::getenv("CCNUMA_WINDOW")) {
@@ -293,14 +279,10 @@ Machine::Machine(const MachineConfig &cfg)
             cfg_.obs.chromeTraceFile = env;
         if (const char *env = std::getenv("CCNUMA_TRACE_METRICS"))
             cfg_.obs.metricsFile = env;
-        if (const char *env = std::getenv("CCNUMA_TRACE_SAMPLE"))
-            cfg_.obs.sampleEvery =
-                std::max<std::uint64_t>(
-                    1, std::strtoull(env, nullptr, 10));
-        if (const char *env = std::getenv("CCNUMA_TRACE_RING"))
-            cfg_.obs.ringCapacity = static_cast<std::size_t>(
-                std::max<std::uint64_t>(
-                    1, std::strtoull(env, nullptr, 10)));
+        envPositiveInt("CCNUMA_TRACE_SAMPLE", cfg_.obs.sampleEvery);
+        std::uint64_t ring = cfg_.obs.ringCapacity;
+        if (envPositiveInt("CCNUMA_TRACE_RING", ring))
+            cfg_.obs.ringCapacity = static_cast<std::size_t>(ring);
 
         obs::TracerContext tc;
         tc.numNodes = cfg_.numNodes;

@@ -309,6 +309,14 @@ ReplayCache::stats() const
     return stats_;
 }
 
+std::uint64_t
+replayBytesFromEnv()
+{
+    std::uint64_t cap = defaultReplayBytes;
+    envPositiveInt("CCNUMA_REPLAY_BYTES", cap);
+    return cap;
+}
+
 ReplayCache *
 globalReplayCache()
 {
@@ -316,9 +324,7 @@ globalReplayCache()
         const char *onoff = std::getenv("CCNUMA_REPLAY");
         if (onoff != nullptr && std::string(onoff) == "0")
             return nullptr;
-        std::uint64_t cap = 256ull << 20;
-        if (const char *b = std::getenv("CCNUMA_REPLAY_BYTES"))
-            cap = std::strtoull(b, nullptr, 10);
+        std::uint64_t cap = replayBytesFromEnv();
         std::string dir;
         if (const char *d = std::getenv("CCNUMA_REPLAY_DIR"))
             dir = d;

@@ -31,7 +31,9 @@
  *
  * Environment knobs (read once, at first globalReplayCache() use):
  *  - CCNUMA_REPLAY=0       disable replay entirely (always generate)
- *  - CCNUMA_REPLAY_BYTES=N in-memory cap in bytes (default 256 MiB)
+ *  - CCNUMA_REPLAY_BYTES=N in-memory cap in bytes (default 256 MiB;
+ *                          a positive integer, anything else is
+ *                          warned about and ignored)
  *  - CCNUMA_REPLAY_DIR=D   persist captured traces under D
  */
 
@@ -214,6 +216,15 @@ class ReplayWorkload : public Workload
     std::unique_ptr<Workload> inner_;
     std::shared_ptr<const ReplayBuffer> buf_;
 };
+
+/** In-memory replay cap when CCNUMA_REPLAY_BYTES is unset. */
+inline constexpr std::uint64_t defaultReplayBytes = 256ull << 20;
+
+/**
+ * The replay cache's in-memory cap: CCNUMA_REPLAY_BYTES when it is a
+ * positive integer, else defaultReplayBytes (with a warning if set).
+ */
+std::uint64_t replayBytesFromEnv();
 
 /**
  * Process-wide replay cache, configured from the environment on first

@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <map>
+#include <set>
 #include <vector>
 
 #include "bus/bus.hh"
 #include "sim/event_queue.hh"
+#include "sim/random.hh"
 
 namespace ccnuma
 {
@@ -221,6 +225,154 @@ TEST_F(BusFixture, StatsAccumulate)
     EXPECT_EQ(bus->statTxns.value(), 1.0);
     EXPECT_GT(bus->statAddrBusy.value(), 0.0);
     EXPECT_GT(bus->statDataBusy.value(), 0.0);
+}
+
+/**
+ * The open-transaction slot ring against a model, through queued
+ * grants (bursts far beyond the outstanding limit) and a transaction
+ * deferred for the whole run while ids lap the ring many times: the
+ * ring must grow, and isOpen, fillScheduled, lineBusy and
+ * numOutstanding must match the model after every step.
+ */
+TEST_F(BusFixture, SlotRingTracksOpenTransactionsAsItGrows)
+{
+    struct DeferExcl : BusCoherenceHook
+    {
+        std::vector<std::uint64_t> deferred;
+        SupplyDecision
+        busObserve(BusTxn &txn, SnoopResult) override
+        {
+            if (txn.cmd != BusCmd::ReadExcl)
+                return SupplyDecision::Memory;
+            deferred.push_back(txn.id);
+            return SupplyDecision::Deferred;
+        }
+    } defer_hook;
+    bus->setCoherenceHook(&defer_hook);
+    const std::size_t initial_slots = bus->slotCapacity();
+    // Free slots hold id 0, which is never issued: it is not open.
+    auto expect_id0_closed = [&] {
+        EXPECT_FALSE(bus->isOpen(0));
+        EXPECT_FALSE(bus->fillScheduled(0));
+        EXPECT_THROW(bus->deferredRespond(0, 0, eq.curTick()),
+                     PanicError);
+    };
+    expect_id0_closed();
+
+    std::map<std::uint64_t, Addr> open; // id -> line
+    std::set<std::uint64_t> answered;
+    std::uint64_t first_id = 0, last_id = 0;
+    std::size_t seen[3] = {0, 0, 0};
+    MockAgent *agents[3] = {&a0, &a1, &a2};
+    Random rng(17);
+
+    auto issue = [&](BusCmd cmd, Addr line, int agent) {
+        std::uint64_t id = bus->request(cmd, line, agent);
+        if (first_id == 0)
+            first_id = id;
+        last_id = id;
+        open[id] = line;
+    };
+    auto check = [&](int step) {
+        for (int a = 0; a < 3; ++a) {
+            for (; seen[a] < agents[a]->done.size(); ++seen[a]) {
+                std::uint64_t id = agents[a]->done[seen[a]].id;
+                ASSERT_EQ(open.erase(id), 1u) << "step " << step;
+                answered.erase(id);
+            }
+        }
+        ASSERT_EQ(bus->numOutstanding(), open.size()) << "step " << step;
+        std::set<Addr> busy_lines;
+        for (std::uint64_t id = first_id; id <= last_id; ++id) {
+            auto it = open.find(id);
+            ASSERT_EQ(bus->isOpen(id), it != open.end())
+                << "step " << step << " id " << id;
+            if (it == open.end()) {
+                EXPECT_FALSE(bus->fillScheduled(id));
+                continue;
+            }
+            busy_lines.insert(it->second);
+            if (answered.count(id)) {
+                EXPECT_TRUE(bus->fillScheduled(id)) << "id " << id;
+            }
+        }
+        for (std::uint64_t id : defer_hook.deferred) {
+            if (open.count(id) && !answered.count(id)) {
+                EXPECT_FALSE(bus->fillScheduled(id)) << "id " << id;
+            }
+        }
+        for (Addr line = 0x10000; line < 0x10000 + 0x80 * 24;
+             line += 0x80) {
+            EXPECT_EQ(bus->lineBusy(line), busy_lines.count(line) != 0)
+                << "step " << step << " line " << std::hex << line;
+        }
+    };
+
+    // The sticky transaction: deferred now, answered only at the end.
+    issue(BusCmd::ReadExcl, 0x10000, 0);
+    eq.run();
+    ASSERT_EQ(defer_hook.deferred.size(), 1u);
+    const std::uint64_t sticky = defer_hook.deferred[0];
+    check(-1);
+
+    // Each step runs as an event, a random number of ticks after the
+    // previous one, so transactions are caught in every phase.
+    int step = 0;
+    std::function<void()> run_step = [&] {
+        if (step % 150 == 0) {
+            // Burst: far more requests than grants or initial slots.
+            for (int i = 0; i < 48; ++i) {
+                issue(i % 4 == 0 ? BusCmd::ReadExcl : BusCmd::Read,
+                      0x10080 + 0x80 * (i % 23), i % 3);
+            }
+        } else {
+            issue(rng.chance(0.3) ? BusCmd::ReadExcl : BusCmd::Read,
+                  0x10080 + 0x80 * rng.below(23),
+                  static_cast<int>(rng.below(3)));
+        }
+        // Answer some deferred transactions (never the sticky one).
+        for (std::uint64_t id : defer_hook.deferred) {
+            if (id != sticky && open.count(id) && !answered.count(id) &&
+                rng.chance(0.5)) {
+                bus->deferredRespond(id, 3, eq.curTick() + 10);
+                answered.insert(id);
+            }
+        }
+        check(step);
+        if (step % 50 == 0)
+            expect_id0_closed();
+        if (++step < 600 && !HasFailure()) {
+            eq.scheduleFunctionIn([&] { run_step(); },
+                                  1 + rng.below(40));
+        }
+    };
+    eq.scheduleFunctionIn([&] { run_step(); }, 1);
+    eq.run();
+    check(step);
+    ASSERT_FALSE(HasFailure());
+    // Ids lapped the initial ring many times; the sticky transaction
+    // made it grow to span every live id, and no further.
+    EXPECT_GT(last_id - first_id, 4 * initial_slots);
+    EXPECT_GT(bus->slotCapacity(), initial_slots);
+    EXPECT_LT(bus->slotCapacity(), 2 * (last_id - first_id + 1));
+    EXPECT_TRUE(bus->isOpen(sticky));
+    EXPECT_TRUE(bus->lineBusy(0x10000));
+
+    // Drain: answer everything still deferred.
+    for (std::uint64_t id : defer_hook.deferred) {
+        if (open.count(id) && !answered.count(id)) {
+            bus->deferredRespond(id, 4, eq.curTick());
+            answered.insert(id);
+        }
+    }
+    eq.run();
+    check(1000);
+    EXPECT_EQ(bus->numOutstanding(), 0u);
+    EXPECT_FALSE(bus->isOpen(sticky));
+    EXPECT_FALSE(bus->lineBusy(0x10000));
+    EXPECT_THROW(bus->deferredRespond(sticky, 0, eq.curTick()),
+                 PanicError);
+    expect_id0_closed();
 }
 
 } // namespace

@@ -189,6 +189,55 @@ TEST(MachineConfigTest, MaxTicksEnvTakesPositiveIntegersOnly)
     EXPECT_EQ(m.config().maxTicks, 123456789u);
 }
 
+/**
+ * Construct a traced machine with @p var set to @p value and return
+ * its effective configuration. Tracing is on in the
+ * config itself, so the trace knobs are read; nothing runs, so no
+ * trace file is written.
+ */
+MachineConfig
+tracedConfigWithEnv(const char *var, const char *value)
+{
+    MachineConfig cfg = MachineConfig::base();
+    cfg.numNodes = 2;
+    cfg.node.procsPerNode = 2;
+    cfg.obs.enabled = true;
+    cfg.obs.sampleEvery = 8;
+    cfg.obs.ringCapacity = 1024;
+    EXPECT_EQ(setenv(var, value, 1), 0);
+    Machine m(cfg);
+    unsetenv(var);
+    return m.config();
+}
+
+TEST(MachineConfigTest, TraceSampleEnvTakesPositiveIntegersOnly)
+{
+    // A bare strtoull turned "abc" into a sampling rate of 1 (trace
+    // everything) instead of keeping the configured rate.
+    for (const char *bad : {"abc", "0", "-5", "12x", "", " 4"}) {
+        SCOPED_TRACE(std::string("CCNUMA_TRACE_SAMPLE=") + bad);
+        EXPECT_EQ(tracedConfigWithEnv("CCNUMA_TRACE_SAMPLE", bad)
+                      .obs.sampleEvery,
+                  8u);
+    }
+    EXPECT_EQ(tracedConfigWithEnv("CCNUMA_TRACE_SAMPLE", "32")
+                  .obs.sampleEvery,
+              32u);
+}
+
+TEST(MachineConfigTest, TraceRingEnvTakesPositiveIntegersOnly)
+{
+    for (const char *bad : {"abc", "0", "-5", "64k", ""}) {
+        SCOPED_TRACE(std::string("CCNUMA_TRACE_RING=") + bad);
+        EXPECT_EQ(tracedConfigWithEnv("CCNUMA_TRACE_RING", bad)
+                      .obs.ringCapacity,
+                  1024u);
+    }
+    EXPECT_EQ(tracedConfigWithEnv("CCNUMA_TRACE_RING", "4096")
+                  .obs.ringCapacity,
+              4096u);
+}
+
 /** A small machine that shards (4 nodes over 2 shards). */
 MachineConfig
 shardedConfig(WindowPolicy policy)

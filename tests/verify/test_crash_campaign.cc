@@ -117,6 +117,35 @@ INSTANTIATE_TEST_SUITE_P(
                                         : "_DirectoryIntact");
     });
 
+/**
+ * A crash clears every engine's pending bus-fetch id, so a fetch
+ * still on the bus completes into no handler and is dropped as a
+ * stray (its request replays from scratch). Sweep the crash across
+ * the run so that some crashes land while fetches and replies are in
+ * flight: every run must heal to the clean instruction count with no
+ * checker violation, and the sweep must see stray drops.
+ */
+TEST(CrashCampaign, CrashesMidTransactionDropStrayCompletions)
+{
+    RunResult ref;
+    {
+        Machine m(smallConfig());
+        ref = runKernel(m, "FFT");
+    }
+    std::uint64_t strays = 0;
+    for (Tick at = 1000; at < ref.execTicks; at += ref.execTicks / 48) {
+        SCOPED_TRACE("crash at tick " + std::to_string(at));
+        Machine m(crashConfig(at, /*lose_directory=*/false));
+        RunResult r = runKernel(m, "FFT");
+        ASSERT_TRUE(r.completed);
+        ASSERT_EQ(r.instructions, ref.instructions);
+        ASSERT_EQ(m.checker()->violations(), 0u)
+            << m.checker()->firstViolation();
+        strays += r.strayDrops;
+    }
+    EXPECT_GT(strays, 0u);
+}
+
 TEST(CrashCampaign, DeterministicAcrossRuns)
 {
     auto once = [] {

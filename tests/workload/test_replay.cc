@@ -366,5 +366,21 @@ TEST(Replay, TruncatedDiskFileIsIgnored)
     EXPECT_GT(buf->ops(), 0u);
 }
 
+TEST(Replay, BytesEnvTakesPositiveIntegersOnly)
+{
+    // A bare strtoull read "abc" as a cap of 0 (replay silently off)
+    // and "256M" as 256 bytes; both must keep the default instead.
+    unsetenv("CCNUMA_REPLAY_BYTES");
+    EXPECT_EQ(replayBytesFromEnv(), defaultReplayBytes);
+    for (const char *bad : {"abc", "256M", "0", "-1", "1e9", ""}) {
+        SCOPED_TRACE(std::string("CCNUMA_REPLAY_BYTES=") + bad);
+        ASSERT_EQ(setenv("CCNUMA_REPLAY_BYTES", bad, 1), 0);
+        EXPECT_EQ(replayBytesFromEnv(), defaultReplayBytes);
+    }
+    ASSERT_EQ(setenv("CCNUMA_REPLAY_BYTES", "1048576", 1), 0);
+    EXPECT_EQ(replayBytesFromEnv(), 1048576u);
+    unsetenv("CCNUMA_REPLAY_BYTES");
+}
+
 } // namespace
 } // namespace ccnuma
