@@ -552,6 +552,11 @@ EventQueue::run(Tick limit)
     while (pending_ != 0) {
         Event *ev = peekWheel();
         if (ev == nullptr) {
+            // Advancing the wheel to a parked event past limit would
+            // move its base beyond ticks a caller may still schedule
+            // at before the next run.
+            if (overflowMin() > limit)
+                return;
             advanceWheelTo(overflowMin());
             ev = peekWheel();
         }

@@ -487,7 +487,7 @@ class EventQueue
         while (!done()) {
             Event *ev = peekWheel();
             if (ev == nullptr) {
-                if (overflowCount_ == 0)
+                if (overflowCount_ == 0 || overflowMin() > limit)
                     return false;
                 advanceWheelTo(overflowMin());
                 ev = peekWheel();

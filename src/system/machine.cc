@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
+#include <limits>
 
 #include "net/reliable.hh"
 #include "obs/tracer.hh"
@@ -68,14 +69,15 @@ Machine::Machine(const MachineConfig &cfg)
             cfg_.recovery.missTimeoutTicks;
     }
     // CCNUMA_SHARDS overrides the configured shard count.
-    if (const char *env = std::getenv("CCNUMA_SHARDS")) {
-        char *end = nullptr;
-        unsigned long v = std::strtoul(env, &end, 10);
-        if (end != env && *end == '\0' && v >= 1) {
-            cfg_.shards = static_cast<unsigned>(v);
+    // Only a positive integer that fits the count is taken; "-5"
+    // must not wrap to a huge shard count.
+    std::uint64_t shards = cfg_.shards;
+    if (envPositiveInt("CCNUMA_SHARDS", shards)) {
+        if (shards <= std::numeric_limits<unsigned>::max()) {
+            cfg_.shards = static_cast<unsigned>(shards);
         } else {
-            warn("CCNUMA_SHARDS=%s not recognized (use a positive "
-                 "integer); shard count stays %u", env, cfg_.shards);
+            warn("CCNUMA_SHARDS=%llu is too large; shard count stays "
+                 "%u", (unsigned long long)shards, cfg_.shards);
         }
     }
     // CCNUMA_MAX_TICKS overrides the run's tick limit. A zero or

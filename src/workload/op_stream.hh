@@ -66,12 +66,75 @@ struct ThreadOp
 };
 
 /**
+ * A ThreadOp packed into 8 bytes, the storage unit of captured replay
+ * traces (a ThreadOp is 24 bytes, two thirds of them padding). The
+ * kind sits in the top 3 bits; the remaining 61 bits carry the one
+ * field the kind uses: the address of a Load/Store, the count of
+ * every other kind. Packing is exact — packOp refuses any op whose
+ * unpacked form would differ — so a replayed stream is field-for-field
+ * the stream that was captured.
+ */
+using PackedOp = std::uint64_t;
+
+inline constexpr unsigned packedKindShift = 61;
+inline constexpr PackedOp packedPayloadMask =
+    (PackedOp(1) << packedKindShift) - 1;
+
+/**
+ * Pack @p op into @p out.
+ * @return false when @p op cannot round-trip through unpackOp: kind
+ *         End (a stream ends by running out, not by an op), an
+ *         address of 2^61 or more, or a nonzero field the kind does
+ *         not carry.
+ */
+inline bool
+packOp(const ThreadOp &op, PackedOp &out)
+{
+    const auto kind = static_cast<PackedOp>(op.kind);
+    PackedOp payload;
+    switch (op.kind) {
+      case ThreadOp::Kind::Load:
+      case ThreadOp::Kind::Store:
+        if (op.count != 0 || op.addr > packedPayloadMask)
+            return false;
+        payload = op.addr;
+        break;
+      case ThreadOp::Kind::Compute:
+      case ThreadOp::Kind::Barrier:
+      case ThreadOp::Kind::Lock:
+      case ThreadOp::Kind::Unlock:
+        if (op.addr != 0)
+            return false;
+        payload = op.count;
+        break;
+      default:
+        return false;
+    }
+    out = (kind << packedKindShift) | payload;
+    return true;
+}
+
+/** Inverse of packOp for any op packOp produced. */
+inline ThreadOp
+unpackOp(PackedOp p)
+{
+    ThreadOp op;
+    op.kind = static_cast<ThreadOp::Kind>(p >> packedKindShift);
+    const PackedOp payload = p & packedPayloadMask;
+    const bool mem = op.kind <= ThreadOp::Kind::Store;
+    op.addr = mem ? payload : 0;
+    op.count = mem ? 0 : static_cast<std::uint32_t>(payload);
+    return op;
+}
+
+/**
  * Move-only generator of ThreadOps. A workload kernel is a function
  * returning OpStream and yielding ThreadOps from a coroutine.
  *
  * A stream can alternatively serve ops out of a pre-captured buffer
- * (fromBuffer): replayed sweeps walk the recorded vector with a bare
- * index, so next() performs no coroutine resume and no allocation.
+ * of packed ops (fromBuffer): replayed sweeps walk the recorded vector
+ * with a bare index and unpack each op with a shift and a mask, so
+ * next() performs no coroutine resume and no allocation.
  * The consumer cannot tell the difference — timing feedback only
  * controls *when* next() is called, never what it returns, so a
  * buffer recorded from one run replays bit-identically anywhere the
@@ -135,13 +198,13 @@ class OpStream
     ~OpStream() { destroy(); }
 
     /**
-     * Build a stream that replays @p ops in order. The shared_ptr
-     * keeps the owning replay buffer alive (typically via the
-     * aliasing constructor into one of its per-thread vectors);
+     * Build a stream that replays packed @p ops in order. The
+     * shared_ptr keeps the owning replay buffer alive (typically via
+     * the aliasing constructor into one of its per-thread vectors);
      * serving an op is an indexed read with no allocation.
      */
     static OpStream
-    fromBuffer(std::shared_ptr<const std::vector<ThreadOp>> ops)
+    fromBuffer(std::shared_ptr<const std::vector<PackedOp>> ops)
     {
         OpStream s;
         s.buf_ = std::move(ops);
@@ -164,7 +227,7 @@ class OpStream
         if (buf_) {
             if (idx_ >= buf_->size())
                 return false;
-            out = (*buf_)[idx_++];
+            out = unpackOp((*buf_)[idx_++]);
             return true;
         }
         if (!handle_ || handle_.done())
@@ -188,7 +251,7 @@ class OpStream
 
     std::coroutine_handle<promise_type> handle_;
     /** Replay source; when set, next() never touches the coroutine. */
-    std::shared_ptr<const std::vector<ThreadOp>> buf_;
+    std::shared_ptr<const std::vector<PackedOp>> buf_;
     /** Index of the next op served from buf_. */
     std::size_t idx_ = 0;
 };

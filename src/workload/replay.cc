@@ -5,17 +5,11 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <type_traits>
 
 #include "sim/logging.hh"
 
 namespace ccnuma
 {
-
-// Traces persist as raw ThreadOp records; the format is only sound
-// for a POD op struct (same-platform reload, no pointers to chase).
-static_assert(std::is_trivially_copyable_v<ThreadOp>,
-              "replay files store ThreadOp verbatim");
 
 namespace
 {
@@ -24,14 +18,20 @@ namespace
  * On-disk trace layout (host-endian, same-platform cache only — the
  * embedded identity check rejects anything else that slips through):
  *
- *   magic "CCNREPL1"            8 bytes
+ *   magic "CCNREPL2"            8 bytes
  *   identityLen                 u64
  *   identity text               identityLen bytes
  *   numThreads                  u64
  *   per-thread op count         numThreads x u64
- *   per-thread ThreadOp records concatenated, in thread order
+ *   per-thread PackedOp records concatenated, in thread order
+ *   checksum                    u64, checksumWords over
+ *                               numThreads, the counts and the
+ *                               records
+ *
+ * Version 1 ("CCNREPL1") stored 24-byte ThreadOp records; such a file
+ * fails the magic check and is recaptured like any stale file.
  */
-constexpr char kMagic[8] = {'C', 'C', 'N', 'R', 'E', 'P', 'L', '1'};
+constexpr char kMagic[8] = {'C', 'C', 'N', 'R', 'E', 'P', 'L', '2'};
 
 /** FNV-1a; names disk files only, identity text is the real key. */
 std::uint64_t
@@ -43,6 +43,31 @@ fnv1a(const std::string &s)
         h *= 0x100000001b3ull;
     }
     return h;
+}
+
+/**
+ * Fold @p n words into @p h. Each step is a bijection of the state
+ * for a fixed word, so a file that differs from the written one in a
+ * single word always fails the check.
+ */
+std::uint64_t
+checksumWords(std::uint64_t h, const std::uint64_t *w, std::size_t n)
+{
+    for (std::size_t i = 0; i < n; ++i) {
+        h = (h ^ w[i]) * 0x9e3779b97f4a7c15ull;
+        h ^= h >> 29;
+    }
+    return h;
+}
+
+constexpr std::uint64_t kChecksumSeed = 0xcbf29ce484222325ull;
+
+/** True iff @p p is an op packOp can produce. */
+bool
+validPackedOp(PackedOp p)
+{
+    PackedOp again = 0;
+    return packOp(unpackOp(p), again) && again == p;
 }
 
 bool
@@ -68,12 +93,22 @@ captureWorkload(Workload &w, std::string identity)
     b->threads.resize(w.numThreads());
     for (unsigned t = 0; t < w.numThreads(); ++t) {
         OpStream s = w.thread(t);
-        // Ops are written straight into the buffer: copied through a
-        // local, each one took a store-forwarding stall.
-        std::vector<ThreadOp> &ops = b->threads[t];
-        while (s.next(ops.emplace_back())) {
+        std::vector<PackedOp> &ops = b->threads[t];
+        ThreadOp op;
+        while (s.next(op)) {
+            PackedOp p;
+            if (!packOp(op, p)) {
+                fatal("replay capture of %s: thread %u op %zu (kind "
+                      "%u, addr %#llx, count %u) does not pack into "
+                      "8 bytes (addresses must be below 2^61, and a "
+                      "kind carries only its own field)",
+                      b->identity.c_str(), t, ops.size(),
+                      static_cast<unsigned>(op.kind),
+                      static_cast<unsigned long long>(op.addr),
+                      op.count);
+            }
+            ops.push_back(p);
         }
-        ops.pop_back();
         ops.shrink_to_fit();
     }
     return b;
@@ -88,7 +123,10 @@ void
 ReplayCache::insertLocked(const std::string &identity,
                           std::shared_ptr<const ReplayBuffer> buf)
 {
-    if (byteCap_ == 0)
+    // A trace larger than the whole cap goes back to its caller
+    // unadmitted: inserting it would make evictLocked drop every
+    // resident trace and then the new one too.
+    if (byteCap_ == 0 || buf->bytes() > byteCap_)
         return;
     auto it = entries_.find(identity);
     if (it != entries_.end()) {
@@ -137,46 +175,81 @@ ReplayCache::loadFromDisk(const std::string &identity,
     std::ifstream is(pathFor(identity), std::ios::binary);
     if (!is)
         return nullptr;
+    // The file exists, so from here on anything short of a
+    // well-formed v2 trace of this identity is a stale reject: the
+    // caller recaptures and rewrites it.
+    stale = true;
+    if (!is.seekg(0, std::ios::end))
+        return nullptr;
+    // Every size read below is checked against the bytes the file
+    // still holds before anything is allocated for it.
+    std::uint64_t left = static_cast<std::uint64_t>(is.tellg());
+    is.seekg(0);
     char magic[sizeof(kMagic)];
-    if (!is.read(magic, sizeof(magic)) ||
-        std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
-        stale = true; // wrong or torn format == stale
-        return nullptr;
-    }
     std::uint64_t id_len = 0;
-    if (!readU64(is, id_len) || id_len > (1u << 20)) {
-        stale = true;
+    if (left < sizeof(kMagic) + sizeof(id_len) ||
+        !is.read(magic, sizeof(magic)) ||
+        std::memcmp(magic, kMagic, sizeof(kMagic)) != 0 ||
+        !readU64(is, id_len))
         return nullptr;
-    }
+    left -= sizeof(kMagic) + sizeof(id_len);
+    if (id_len != identity.size() || id_len > left)
+        return nullptr;
     std::string id(id_len, '\0');
     if (!is.read(id.data(), static_cast<std::streamsize>(id_len)))
         return nullptr;
-    if (id != identity) {
-        // Hash-named file holds a different identity (collision or a
-        // trace captured under older workload parameters): reject it
-        // and recapture rather than replaying the wrong stream.
-        stale = true;
+    left -= id_len;
+    // Hash-named file holding a different identity (collision or a
+    // trace captured under older workload parameters): reject it
+    // rather than replay the wrong stream.
+    if (id != identity)
         return nullptr;
-    }
     std::uint64_t nthreads = 0;
-    if (!readU64(is, nthreads) || nthreads > (1u << 20))
+    if (left < sizeof(nthreads) || !readU64(is, nthreads))
         return nullptr;
+    left -= sizeof(nthreads);
+    // What follows is numThreads counts, the records and the
+    // checksum, all whole words.
+    if (left % sizeof(std::uint64_t) != 0)
+        return nullptr;
+    std::uint64_t words = left / sizeof(std::uint64_t);
+    if (words == 0 || nthreads > words - 1)
+        return nullptr;
+    words -= nthreads + 1;
     std::vector<std::uint64_t> counts(nthreads);
-    for (auto &c : counts) {
-        if (!readU64(is, c))
+    if (!is.read(reinterpret_cast<char *>(counts.data()),
+                 static_cast<std::streamsize>(nthreads *
+                                              sizeof(std::uint64_t))))
+        return nullptr;
+    for (std::uint64_t c : counts) {
+        if (c > words)
             return nullptr;
+        words -= c;
     }
+    if (words != 0)
+        return nullptr; // size mismatch
+    std::uint64_t sum = checksumWords(kChecksumSeed, &nthreads, 1);
+    sum = checksumWords(sum, counts.data(), counts.size());
     auto b = std::make_shared<ReplayBuffer>();
     b->identity = identity;
     b->threads.resize(nthreads);
     for (std::uint64_t t = 0; t < nthreads; ++t) {
-        b->threads[t].resize(counts[t]);
-        auto bytes = static_cast<std::streamsize>(
-            counts[t] * sizeof(ThreadOp));
-        if (!is.read(reinterpret_cast<char *>(b->threads[t].data()),
-                     bytes))
-            return nullptr; // truncated == miss; will be rewritten
+        std::vector<PackedOp> &ops = b->threads[t];
+        ops.resize(counts[t]);
+        if (!is.read(reinterpret_cast<char *>(ops.data()),
+                     static_cast<std::streamsize>(
+                         ops.size() * sizeof(PackedOp))))
+            return nullptr;
+        for (PackedOp p : ops) {
+            if (!validPackedOp(p))
+                return nullptr;
+        }
+        sum = checksumWords(sum, ops.data(), ops.size());
     }
+    std::uint64_t want = 0;
+    if (!readU64(is, want) || want != sum)
+        return nullptr;
+    stale = false;
     return b;
 }
 
@@ -199,14 +272,22 @@ ReplayCache::storeToDisk(const ReplayBuffer &b) const
         writeU64(os, b.identity.size());
         os.write(b.identity.data(),
                  static_cast<std::streamsize>(b.identity.size()));
-        writeU64(os, b.threads.size());
+        const std::uint64_t nthreads = b.threads.size();
+        writeU64(os, nthreads);
+        std::vector<std::uint64_t> counts;
         for (const auto &t : b.threads)
-            writeU64(os, t.size());
+            counts.push_back(t.size());
+        std::uint64_t sum = checksumWords(kChecksumSeed, &nthreads, 1);
+        sum = checksumWords(sum, counts.data(), counts.size());
+        for (std::uint64_t c : counts)
+            writeU64(os, c);
         for (const auto &t : b.threads) {
             os.write(reinterpret_cast<const char *>(t.data()),
                      static_cast<std::streamsize>(
-                         t.size() * sizeof(ThreadOp)));
+                         t.size() * sizeof(PackedOp)));
+            sum = checksumWords(sum, t.data(), t.size());
         }
+        writeU64(os, sum);
         if (!os)
             return;
     }

@@ -11,8 +11,9 @@
  * coroutines again for every sweep point is pure waste.
  *
  * This module captures each identity's per-thread operation vectors
- * once into a ReplayBuffer and replays them allocation-free through
- * OpStream::fromBuffer for every later point with the same identity.
+ * once into a ReplayBuffer, packed 8 bytes per op (PackedOp), and
+ * replays them allocation-free through OpStream::fromBuffer for every
+ * later point with the same identity.
  * Replay is *provably* bit-identical: the consumer pulls ops one at a
  * time and timing feedback only decides when the next op is pulled,
  * never which op arrives, so a buffer and the coroutine it was
@@ -27,7 +28,9 @@
  *
  * Cache behavior mirrors serve::ResultCache: byte-capped in-memory
  * LRU, single-flight capture dedup, optional disk persistence with
- * atomic tmp+rename publish. Every outcome is counted.
+ * atomic tmp+rename publish. Every outcome is counted. A trace larger
+ * than the whole cap is handed to its caller but never admitted, so
+ * it cannot flush the resident set.
  *
  * Environment knobs (read once, at first globalReplayCache() use):
  *  - CCNUMA_REPLAY=0       disable replay entirely (always generate)
@@ -55,12 +58,15 @@
 namespace ccnuma
 {
 
-/** A captured reference stream: one op vector per workload thread. */
+/**
+ * A captured reference stream: one packed-op vector per workload
+ * thread.
+ */
 struct ReplayBuffer
 {
     /** Canonical workload identity this trace was captured from. */
     std::string identity;
-    std::vector<std::vector<ThreadOp>> threads;
+    std::vector<std::vector<PackedOp>> threads;
 
     /** Resident payload size (ops only; identity text is noise). */
     std::uint64_t
@@ -68,7 +74,7 @@ struct ReplayBuffer
     {
         std::uint64_t n = 0;
         for (const auto &t : threads)
-            n += t.size() * sizeof(ThreadOp);
+            n += t.size() * sizeof(PackedOp);
         return n;
     }
 
@@ -86,6 +92,9 @@ struct ReplayBuffer
  * Capture @p w's complete reference stream by running every thread
  * coroutine to exhaustion. The workload is consumed — callers must
  * construct a fresh instance for anything that runs after capture.
+ * An op that cannot be packed exactly (see packOp) is a fatal error:
+ * replaying anything but the generated stream would be silently
+ * wrong.
  */
 std::shared_ptr<const ReplayBuffer>
 captureWorkload(Workload &w, std::string identity);
@@ -96,7 +105,7 @@ struct ReplayStats
     std::uint64_t captures = 0;     ///< traces generated (compute ran)
     std::uint64_t hits = 0;         ///< served from memory
     std::uint64_t diskHits = 0;     ///< served from the persist dir
-    std::uint64_t staleRejects = 0; ///< disk identity mismatch
+    std::uint64_t staleRejects = 0; ///< bad or mismatched disk file
     std::uint64_t dedupWaits = 0;   ///< waited on an in-flight capture
     std::uint64_t evictions = 0;    ///< LRU entries dropped at the cap
     std::uint64_t bytes = 0;        ///< current resident payload bytes
@@ -165,7 +174,10 @@ class ReplayCache
                       std::shared_ptr<const ReplayBuffer> buf);
     void evictLocked();
     std::string pathFor(const std::string &identity) const;
-    /** nullptr on miss; sets @p stale on an identity-text mismatch. */
+    /**
+     * nullptr on miss; sets @p stale when a file exists but is not a
+     * well-formed v2 trace of @p identity.
+     */
     std::shared_ptr<const ReplayBuffer>
     loadFromDisk(const std::string &identity, bool &stale) const;
     void storeToDisk(const ReplayBuffer &b) const;
@@ -206,7 +218,7 @@ class ReplayWorkload : public Workload
         // Aliasing shared_ptr: the stream keeps the whole buffer
         // alive while indexing one thread's vector.
         return OpStream::fromBuffer(
-            std::shared_ptr<const std::vector<ThreadOp>>(
+            std::shared_ptr<const std::vector<PackedOp>>(
                 buf_, &buf_->threads.at(tid)));
     }
 

@@ -189,6 +189,35 @@ TEST(MachineConfigTest, MaxTicksEnvTakesPositiveIntegersOnly)
     EXPECT_EQ(m.config().maxTicks, 123456789u);
 }
 
+TEST(MachineConfigTest, ShardsEnvTakesPositiveIntegersOnly)
+{
+    // A shard count that is not a positive integer, or does not fit
+    // an unsigned, must be warned about and leave the configured
+    // count; "-5" must not wrap to about 4.29e9 shards. Only small
+    // counts are accepted here, so no test value can start many
+    // shard threads.
+    MachineConfig cfg = MachineConfig::base();
+    cfg.numNodes = 2;
+    cfg.node.procsPerNode = 2;
+    for (const char *bad : {"-5", "0", "abc", "", "4294967296"}) {
+        SCOPED_TRACE(std::string("CCNUMA_SHARDS=") + bad);
+        ASSERT_EQ(setenv("CCNUMA_SHARDS", bad, 1), 0);
+        Machine m(cfg);
+        unsetenv("CCNUMA_SHARDS");
+        EXPECT_EQ(m.config().shards, cfg.shards);
+    }
+    ASSERT_EQ(setenv("CCNUMA_SHARDS", "2", 1), 0);
+    Machine m(cfg);
+    unsetenv("CCNUMA_SHARDS");
+    EXPECT_EQ(m.config().shards, 2u);
+    UniformWorkload::Knobs k;
+    k.refsPerThread = 200;
+    WorkloadParams p;
+    p.numThreads = cfg.totalProcs();
+    UniformWorkload w(p, k);
+    EXPECT_TRUE(m.run(w).completed);
+}
+
 /**
  * Construct a traced machine with @p var set to @p value and return
  * its effective configuration. Tracing is on in the

@@ -284,6 +284,35 @@ TEST(EventQueueOverflow, SteadyStateHopsThroughRing)
     EXPECT_EQ(eq.nextWhen(), kFarTick);
 }
 
+TEST(EventQueueOverflow, RunLimitLeavesParkedEventsParked)
+{
+    // Stepping a queue with run(limit) while only a far event is
+    // pending must not advance the wheel to it: an event scheduled
+    // afterwards at a nearer tick has to fire first, on time.
+    for (bool until : {false, true}) {
+        SCOPED_TRACE(until ? "runUntil" : "run");
+        EventQueue eq;
+        std::vector<Tick> order;
+        auto at = [&](Tick t) {
+            eq.scheduleFunction([&order, &eq] {
+                order.push_back(eq.curTick());
+            }, t);
+        };
+        at(kFarTick);
+        for (Tick limit = 100; limit <= 400; limit += 100) {
+            if (until)
+                eq.runUntil([] { return false; }, limit);
+            else
+                eq.run(limit);
+            EXPECT_TRUE(order.empty());
+        }
+        at(kRingTick);
+        at(500);
+        eq.run();
+        EXPECT_EQ(order, (std::vector<Tick>{500, kRingTick, kFarTick}));
+    }
+}
+
 TEST(EventQueue, ThrowingOneShotDoesNotLeak)
 {
     // A one-shot whose callback throws is still reclaimed by the

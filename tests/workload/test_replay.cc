@@ -6,19 +6,24 @@
  * when driven through a whole Machine (including under seeded fault
  * injection, which perturbs timing but must never change which ops a
  * processor issues). The cache plumbing is covered too: single-flight
- * capture dedup, LRU eviction at the byte cap, disk persistence with
- * a fresh process's cold cache served from disk, and stale disk files
- * (identity-text mismatch) rejected and regenerated instead of
- * silently replayed.
+ * capture dedup, LRU eviction at the byte cap, an oversize trace kept
+ * out of the cache, disk persistence with a fresh process's cold
+ * cache served from disk, and stale disk files (identity-text
+ * mismatch, seeded corruption, the version 1 format) rejected and
+ * regenerated instead of silently replayed.
  */
 
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <random>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -68,6 +73,14 @@ drain(OpStream s)
     return ops;
 }
 
+/** Resident size of @p app's captured trace under @p p. */
+std::uint64_t
+traceBytes(const std::string &app, const WorkloadParams &p)
+{
+    auto w = makeWorkload(app, p);
+    return captureWorkload(*w, identityOf(app, p))->bytes();
+}
+
 bool
 sameOp(const ThreadOp &a, const ThreadOp &b)
 {
@@ -109,8 +122,7 @@ TEST_P(ReplayKernels, CapturedStreamMatchesFreshGenerationOpForOp)
     auto buf = captureWorkload(*captured, identityOf(GetParam(), p));
     ASSERT_EQ(buf->threads.size(), p.numThreads);
     EXPECT_GT(buf->ops(), 0u);
-    EXPECT_EQ(buf->bytes(),
-              buf->ops() * sizeof(ThreadOp));
+    EXPECT_EQ(buf->bytes(), buf->ops() * sizeof(PackedOp));
 
     ReplayWorkload replayed(makeWorkload(GetParam(), p), buf);
     auto fresh = makeWorkload(GetParam(), p);
@@ -243,24 +255,55 @@ TEST(Replay, ConcurrentAcquiresShareOneCapture)
 TEST(Replay, ByteCapEvictsLeastRecentlyUsed)
 {
     const WorkloadParams p = tinyParams();
-    ReplayCache probe(1 << 30);
-    auto one = probe.acquire(identityOf("FFT", p),
-                             [&] { return makeWorkload("FFT", p); });
+    const std::uint64_t fft = traceBytes("FFT", p);
+    const std::uint64_t radix = traceBytes("Radix", p);
 
-    // Capacity for one trace of this size, nowhere near two.
-    ReplayCache cache(one->bytes() + one->bytes() / 2);
+    // Room for either trace on its own, not for both.
+    const std::uint64_t cap =
+        std::max(fft, radix) + std::min(fft, radix) / 2;
+    ReplayCache cache(cap);
     cache.acquire(identityOf("FFT", p),
                   [&] { return makeWorkload("FFT", p); });
     cache.acquire(identityOf("Radix", p),
                   [&] { return makeWorkload("Radix", p); });
     EXPECT_GE(cache.stats().evictions, 1u);
-    EXPECT_LE(cache.stats().bytes, one->bytes() + one->bytes() / 2);
+    EXPECT_LE(cache.stats().bytes, cap);
 
     // The evicted identity is regenerated, not wrongly served.
     cache.acquire(identityOf("FFT", p),
                   [&] { return makeWorkload("FFT", p); });
     EXPECT_EQ(cache.stats().captures, 3u);
     EXPECT_EQ(cache.stats().hits, 0u);
+}
+
+TEST(Replay, OversizeTraceLeavesResidentSetAlone)
+{
+    // Admitting a trace larger than the whole cap would flush every
+    // resident trace, itself included. It must go back to its caller
+    // unadmitted, and what was resident stays resident.
+    const WorkloadParams p = tinyParams();
+    const std::uint64_t fft = traceBytes("FFT", p);
+    const std::uint64_t radix = traceBytes("Radix", p);
+    ASSERT_LT(fft, radix);
+
+    ReplayCache cache(fft + (radix - fft) / 2);
+    auto small = cache.acquire(identityOf("FFT", p),
+                               [&] { return makeWorkload("FFT", p); });
+    auto big = cache.acquire(identityOf("Radix", p),
+                             [&] { return makeWorkload("Radix", p); });
+    ASSERT_NE(big, nullptr);
+    EXPECT_EQ(big->bytes(), radix);
+    ReplayStats st = cache.stats();
+    EXPECT_EQ(st.evictions, 0u);
+    EXPECT_EQ(st.entries, 1u);
+    EXPECT_EQ(st.bytes, fft);
+
+    auto again = cache.acquire(identityOf("FFT", p),
+                               [&] { return makeWorkload("FFT", p); });
+    EXPECT_EQ(again.get(), small.get());
+    st = cache.stats();
+    EXPECT_EQ(st.hits, 1u);
+    EXPECT_EQ(st.captures, 2u);
 }
 
 TEST(Replay, DiskPersistServesColdCache)
@@ -287,8 +330,7 @@ TEST(Replay, DiskPersistServesColdCache)
         ASSERT_EQ(loaded->threads[t].size(),
                   captured->threads[t].size());
         for (std::size_t i = 0; i < loaded->threads[t].size(); ++i) {
-            ASSERT_TRUE(
-                sameOp(loaded->threads[t][i], captured->threads[t][i]))
+            ASSERT_EQ(loaded->threads[t][i], captured->threads[t][i])
                 << "thread " << t << " op " << i;
         }
     }
@@ -364,6 +406,194 @@ TEST(Replay, TruncatedDiskFileIsIgnored)
     EXPECT_EQ(cold.stats().diskHits, 0u);
     EXPECT_EQ(cold.stats().captures, 1u);
     EXPECT_GT(buf->ops(), 0u);
+}
+
+std::string
+readFile(const std::filesystem::path &f)
+{
+    std::ifstream is(f, std::ios::binary);
+    std::ostringstream os;
+    os << is.rdbuf();
+    return os.str();
+}
+
+void
+writeFile(const std::filesystem::path &f, const std::string &bytes)
+{
+    std::ofstream os(f, std::ios::binary | std::ios::trunc);
+    os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+void
+putU64(std::string &bytes, std::size_t at, std::uint64_t v)
+{
+    std::memcpy(bytes.data() + at, &v, sizeof(v));
+}
+
+std::uint64_t
+getU64(const std::string &bytes, std::size_t at)
+{
+    std::uint64_t v;
+    std::memcpy(&v, bytes.data() + at, sizeof(v));
+    return v;
+}
+
+/** @p b in the version 1 layout: 24-byte ThreadOp records. */
+std::string
+versionOneFile(const ReplayBuffer &b)
+{
+    std::string out("CCNREPL1", 8);
+    auto u64 = [&out](std::uint64_t v) {
+        out.append(reinterpret_cast<const char *>(&v), sizeof(v));
+    };
+    u64(b.identity.size());
+    out += b.identity;
+    u64(b.threads.size());
+    for (const auto &t : b.threads)
+        u64(t.size());
+    for (const auto &t : b.threads) {
+        for (PackedOp p : t) {
+            ThreadOp op = unpackOp(p);
+            out.append(reinterpret_cast<const char *>(&op), sizeof(op));
+        }
+    }
+    return out;
+}
+
+TEST(Replay, CorruptDiskFilesAreRejectedNeverReplayed)
+{
+    // Seeded mutations of a persisted trace: truncations, bit flips
+    // anywhere (counts and ops included), huge counts and thread
+    // numbers, an op of no known kind, and a version 1 file. Every
+    // one must be a counted stale reject followed by a recapture that
+    // returns the true trace: never a crash, a wrong replay, or an
+    // allocation sized by a corrupt count.
+    TempDir dir;
+    const WorkloadParams p = tinyParams();
+    const std::string id = identityOf("FFT", p);
+    auto make = [&] { return makeWorkload("FFT", p); };
+    std::shared_ptr<const ReplayBuffer> truth;
+    {
+        ReplayCache warm(64 << 20, dir.path.string());
+        truth = warm.acquire(id, make);
+    }
+    std::filesystem::path file;
+    for (const auto &e : std::filesystem::directory_iterator(dir.path))
+        file = e.path();
+    ASSERT_FALSE(file.empty());
+    const std::string pristine = readFile(file);
+
+    // Offsets in the version 2 layout.
+    const std::size_t threadsAt = 16 + id.size();
+    const std::size_t countsAt = threadsAt + 8;
+    const std::size_t opsAt = countsAt + 8 * truth->threads.size();
+    ASSERT_EQ(pristine.size(), opsAt + truth->bytes() + 8);
+    ASSERT_EQ(getU64(pristine, threadsAt), truth->threads.size());
+
+    std::mt19937_64 rng(14);
+    auto pick = [&rng](std::size_t lo, std::size_t hi) {
+        return std::uniform_int_distribution<std::size_t>(lo, hi - 1)(
+            rng);
+    };
+    std::vector<std::pair<std::string, std::string>> cases;
+    auto flipBit = [&](const char *what, std::size_t lo,
+                       std::size_t hi) {
+        std::string b = pristine;
+        std::size_t bit = pick(lo * 8, hi * 8);
+        b[bit / 8] = static_cast<char>(b[bit / 8] ^ (1 << (bit % 8)));
+        cases.emplace_back(what + std::to_string(bit), b);
+    };
+    for (int i = 0; i < 12; ++i) {
+        std::size_t len = pick(0, pristine.size());
+        cases.emplace_back("truncate to " + std::to_string(len),
+                           pristine.substr(0, len));
+    }
+    for (int i = 0; i < 12; ++i)
+        flipBit("flip count bit ", countsAt, opsAt);
+    for (int i = 0; i < 24; ++i)
+        flipBit("flip op bit ", opsAt, pristine.size() - 8);
+    for (int i = 0; i < 12; ++i)
+        flipBit("flip any bit ", 0, pristine.size());
+    const std::uint64_t hugeValues[] = {
+        ~0ull, 1ull << 61, 1ull << 40, getU64(pristine, countsAt) + 1};
+    for (std::uint64_t huge : hugeValues) {
+        std::string b = pristine;
+        putU64(b, countsAt, huge);
+        cases.emplace_back("count " + std::to_string(huge), b);
+        b = pristine;
+        putU64(b, threadsAt, huge);
+        cases.emplace_back("threads " + std::to_string(huge), b);
+    }
+    {
+        // Move one op from thread 0's count to thread 1's: the sizes
+        // still add up, so only the checksum can tell.
+        std::string b = pristine;
+        putU64(b, countsAt, getU64(b, countsAt) - 1);
+        putU64(b, countsAt + 8, getU64(b, countsAt + 8) + 1);
+        cases.emplace_back("shifted counts", b);
+        // Two counts each 2^63 too large: their sum wraps back to the
+        // true total, so only a per-count bound stops the allocation.
+        b = pristine;
+        putU64(b, countsAt, getU64(b, countsAt) + (1ull << 63));
+        putU64(b, countsAt + 8, getU64(b, countsAt + 8) + (1ull << 63));
+        cases.emplace_back("wrapping counts", b);
+        b = pristine;
+        putU64(b, opsAt, getU64(b, opsAt) | (7ull << packedKindShift));
+        cases.emplace_back("op kind 7", b);
+        b = pristine + std::string(8, '\0');
+        cases.emplace_back("trailing word", b);
+    }
+    cases.emplace_back("version 1", versionOneFile(*truth));
+
+    for (const auto &[what, bytes] : cases) {
+        SCOPED_TRACE(what);
+        writeFile(file, bytes);
+        ReplayCache cold(64 << 20, dir.path.string());
+        auto got = cold.acquire(id, make);
+        ReplayStats st = cold.stats();
+        EXPECT_EQ(st.staleRejects, 1u);
+        EXPECT_EQ(st.diskHits, 0u);
+        EXPECT_EQ(st.captures, 1u);
+        ASSERT_NE(got, nullptr);
+        EXPECT_TRUE(got->threads == truth->threads);
+    }
+    // The last recapture rewrote a well-formed file.
+    ReplayCache healed(64 << 20, dir.path.string());
+    EXPECT_TRUE(healed.acquire(id, make)->threads == truth->threads);
+    EXPECT_EQ(healed.stats().diskHits, 1u);
+}
+
+TEST(Replay, CaptureRefusesOpsThatDoNotPack)
+{
+    // A replayed stream must equal the generated one field for field,
+    // so an op the 8-byte encoding cannot carry exactly is fatal.
+    struct OneOp : Workload
+    {
+        ThreadOp op;
+        OneOp(const WorkloadParams &p, ThreadOp o) : Workload(p), op(o)
+        {}
+        std::string name() const override { return "OneOp"; }
+        OpStream
+        thread(unsigned) override
+        {
+            co_yield op;
+        }
+    };
+    WorkloadParams p = tinyParams(1);
+    ThreadOp wide = ThreadOp::load(Addr(1) << packedKindShift);
+    ThreadOp loadWithCount = ThreadOp::store(64);
+    loadWithCount.count = 3;
+    ThreadOp lockWithAddr = ThreadOp::lock(2);
+    lockWithAddr.addr = 64;
+    for (ThreadOp bad : {wide, loadWithCount, lockWithAddr, ThreadOp{}}) {
+        OneOp w(p, bad);
+        EXPECT_THROW(captureWorkload(w, "bad"), FatalError);
+    }
+    ThreadOp top = ThreadOp::store(packedPayloadMask);
+    OneOp w(p, top);
+    auto buf = captureWorkload(w, "top");
+    ASSERT_EQ(buf->ops(), 1u);
+    EXPECT_TRUE(sameOp(unpackOp(buf->threads[0][0]), top));
 }
 
 TEST(Replay, BytesEnvTakesPositiveIntegersOnly)
