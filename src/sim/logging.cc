@@ -51,14 +51,9 @@ envPositiveInt(const char *name, std::uint64_t &value)
     return false;
 }
 
-bool
-traceLineEnabled(std::uint64_t line_addr)
-{
-    static const std::uint64_t traced = [] {
-        const char *env = std::getenv("CCNUMA_TRACE_LINE");
-        return env ? std::strtoull(env, nullptr, 16) : 0ull;
-    }();
-    return traced != 0 && traced == line_addr;
-}
+const std::uint64_t tracedLine = [] {
+    const char *env = std::getenv("CCNUMA_TRACE_LINE");
+    return env ? std::strtoull(env, nullptr, 16) : 0ull;
+}();
 
 } // namespace ccnuma

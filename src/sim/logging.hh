@@ -84,11 +84,21 @@ inform(const char *fmt, Args... args)
 bool envPositiveInt(const char *name, std::uint64_t &value);
 
 /**
+ * The line address CCNUMA_TRACE_LINE names (hex), read once at
+ * start-up; 0 when it is unset, which traces nothing.
+ */
+extern const std::uint64_t tracedLine;
+
+/**
  * Line-granular protocol tracing: returns true when @p line_addr
  * matches the CCNUMA_TRACE_LINE environment variable (hex). Used by
  * protocol components to emit debug traces for one cache line.
  */
-bool traceLineEnabled(std::uint64_t line_addr);
+inline bool
+traceLineEnabled(std::uint64_t line_addr)
+{
+    return tracedLine != 0 && tracedLine == line_addr;
+}
 
 /** Emit a trace record for a traced line. */
 #define ccnuma_trace(line, ...)                                      \

@@ -213,7 +213,16 @@ Machine::Machine(const MachineConfig &cfg)
                 });
         }
     }
-    auto next_version = [this] { return nextVersion(); };
+    std::function<std::uint64_t()> next_version;
+    if (shardMap_.sharded()) {
+        next_version = [this] {
+            return std::atomic_ref<std::uint64_t>(versionCounter_)
+                       .fetch_add(1, std::memory_order_relaxed) +
+                   1;
+        };
+    } else {
+        next_version = [this] { return ++versionCounter_; };
+    }
     for (NodeId n = 0; n < cfg_.numNodes; ++n) {
         nodes_.push_back(std::make_unique<SmpNode>(
             "node" + std::to_string(n), shardMap_.of(n), n, cfg_.node,

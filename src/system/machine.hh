@@ -174,22 +174,6 @@ class Machine : public MsgRouter
     unsigned totalProcs() const { return cfg_.totalProcs(); }
     Processor &proc(unsigned global);
 
-    /**
-     * Monotonic data-version source for the invariant checker.
-     * Atomic: shard threads stamp concurrently. Values are not part
-     * of any deterministic output; per-line monotonicity still holds
-     * under sharding because successive writers of one line are
-     * separated by at least a network flight, hence by a window
-     * barrier.
-     */
-    std::uint64_t
-    nextVersion()
-    {
-        return versionCounter_.fetch_add(1,
-                                         std::memory_order_relaxed) +
-               1;
-    }
-
     // --- MsgRouter ---
     void deliverMsg(const Msg &msg) override;
     void onNetSend(Msg &msg) override;
@@ -288,7 +272,17 @@ class Machine : public MsgRouter
     std::vector<std::unique_ptr<obs::Tracer>> tracers_;
     /** Per-shard logs of delivered msgs awaiting cross-shard note. */
     std::vector<std::vector<Msg>> pendingNotes_;
-    std::atomic<std::uint64_t> versionCounter_{0};
+    /**
+     * Monotonic data-version source for the invariant checker,
+     * stamped on every store hit and fill. Sharded runs stamp from
+     * several threads and bump it atomically; serial runs use plain
+     * increments. Values are not part of any deterministic output;
+     * per-line monotonicity still holds under sharding because
+     * successive writers of one line are separated by at least a
+     * network flight, hence by a window barrier.
+     */
+    alignas(std::atomic_ref<std::uint64_t>::required_alignment)
+        std::uint64_t versionCounter_ = 0;
     std::atomic<unsigned> finishedProcs_{0};
     /** Serial-mode finished count: plain, no atomic traffic in the
      *  single-queue fast loop. */

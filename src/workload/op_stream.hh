@@ -15,10 +15,13 @@
 #ifndef CCNUMA_WORKLOAD_OP_STREAM_HH
 #define CCNUMA_WORKLOAD_OP_STREAM_HH
 
+#include <algorithm>
 #include <coroutine>
+#include <cstddef>
 #include <cstdint>
 #include <exception>
 #include <memory>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -128,17 +131,125 @@ unpackOp(PackedOp p)
 }
 
 /**
+ * Ops per chunk of a captured trace: 64 KiB, below glibc's 128 KiB
+ * mmap threshold, so chunks come from the allocating thread's arena
+ * instead of page-faulting fresh mappings one after another.
+ */
+inline constexpr std::size_t replayChunkOps = 8192;
+
+/**
+ * One thread's packed ops, stored in fixed-size chunks of
+ * replayChunkOps. Appending never copies what is already stored (a
+ * std::vector copies its whole payload on every regrow), so several
+ * host threads can capture streams side by side without their
+ * buffers' page faults serializing.
+ */
+class ChunkedOps
+{
+  public:
+    std::size_t size() const { return size_; }
+
+    PackedOp
+    operator[](std::size_t i) const
+    {
+        return chunks_[i / replayChunkOps][i % replayChunkOps];
+    }
+
+    void
+    push_back(PackedOp p)
+    {
+        if (size_ % replayChunkOps == 0)
+            newChunk();
+        chunks_.back()[size_ % replayChunkOps] = p;
+        ++size_;
+    }
+
+    /**
+     * Append @p n uninitialized ops as a new chunk and return where
+     * they go. Only at a chunk boundary, with 0 < n <= replayChunkOps.
+     */
+    PackedOp *
+    appendChunk(std::size_t n)
+    {
+        newChunk();
+        size_ += n;
+        return chunks_.back().get();
+    }
+
+    std::size_t numChunks() const { return chunks_.size(); }
+
+    /** Chunk @p c's ops; every chunk but the last is full. */
+    std::span<const PackedOp>
+    chunk(std::size_t c) const
+    {
+        const std::size_t first = c * replayChunkOps;
+        return {chunks_[c].get(),
+                std::min(replayChunkOps, size_ - first)};
+    }
+
+    /** Enough of an iterator for a range-for over the ops. */
+    class const_iterator
+    {
+      public:
+        const_iterator(const ChunkedOps *ops, std::size_t i)
+            : ops_(ops), i_(i)
+        {}
+        PackedOp operator*() const { return (*ops_)[i_]; }
+        const_iterator &
+        operator++()
+        {
+            ++i_;
+            return *this;
+        }
+        bool operator==(const const_iterator &) const = default;
+
+      private:
+        const ChunkedOps *ops_;
+        std::size_t i_;
+    };
+
+    const_iterator begin() const { return {this, 0}; }
+    const_iterator end() const { return {this, size_}; }
+
+    friend bool
+    operator==(const ChunkedOps &a, const ChunkedOps &b)
+    {
+        if (a.size_ != b.size_)
+            return false;
+        for (std::size_t c = 0; c < a.numChunks(); ++c) {
+            auto x = a.chunk(c);
+            if (!std::equal(x.begin(), x.end(), b.chunk(c).begin()))
+                return false;
+        }
+        return true;
+    }
+
+  private:
+    void
+    newChunk()
+    {
+        chunks_.push_back(
+            std::make_unique_for_overwrite<PackedOp[]>(replayChunkOps));
+    }
+
+    std::vector<std::unique_ptr<PackedOp[]>> chunks_;
+    std::size_t size_ = 0;
+};
+
+/**
  * Move-only generator of ThreadOps. A workload kernel is a function
  * returning OpStream and yielding ThreadOps from a coroutine.
  *
  * A stream can alternatively serve ops out of a pre-captured buffer
- * of packed ops (fromBuffer): replayed sweeps walk the recorded vector
- * with a bare index and unpack each op with a shift and a mask, so
- * next() performs no coroutine resume and no allocation.
+ * of packed ops (fromBuffer): replayed sweeps walk each recorded
+ * chunk with a bare pointer and unpack each op with a shift and a
+ * mask, so next() performs no coroutine resume and no allocation.
  * The consumer cannot tell the difference — timing feedback only
  * controls *when* next() is called, never what it returns, so a
  * buffer recorded from one run replays bit-identically anywhere the
- * workload identity (kernel, thread count, scaling, seed) matches.
+ * workload identity (kernel, thread count, scaling, seed) matches,
+ * provided the workload's streams are independent
+ * (Workload::independentStreams; replay.hh names the exception).
  */
 class OpStream
 {
@@ -177,7 +288,10 @@ class OpStream
 
     OpStream(OpStream &&o) noexcept
         : handle_(std::exchange(o.handle_, nullptr)),
-          buf_(std::move(o.buf_)), idx_(std::exchange(o.idx_, 0))
+          buf_(std::move(o.buf_)),
+          nextChunk_(std::exchange(o.nextChunk_, 0)),
+          cur_(std::exchange(o.cur_, nullptr)),
+          end_(std::exchange(o.end_, nullptr))
     {}
 
     OpStream &
@@ -187,7 +301,9 @@ class OpStream
             destroy();
             handle_ = std::exchange(o.handle_, nullptr);
             buf_ = std::move(o.buf_);
-            idx_ = std::exchange(o.idx_, 0);
+            nextChunk_ = std::exchange(o.nextChunk_, 0);
+            cur_ = std::exchange(o.cur_, nullptr);
+            end_ = std::exchange(o.end_, nullptr);
         }
         return *this;
     }
@@ -200,11 +316,11 @@ class OpStream
     /**
      * Build a stream that replays packed @p ops in order. The
      * shared_ptr keeps the owning replay buffer alive (typically via
-     * the aliasing constructor into one of its per-thread vectors);
-     * serving an op is an indexed read with no allocation.
+     * the aliasing constructor into one of its per-thread streams);
+     * serving an op is a pointer read with no allocation.
      */
     static OpStream
-    fromBuffer(std::shared_ptr<const std::vector<PackedOp>> ops)
+    fromBuffer(std::shared_ptr<const ChunkedOps> ops)
     {
         OpStream s;
         s.buf_ = std::move(ops);
@@ -225,9 +341,9 @@ class OpStream
     next(ThreadOp &out)
     {
         if (buf_) {
-            if (idx_ >= buf_->size())
+            if (cur_ == end_ && !loadChunk())
                 return false;
-            out = unpackOp((*buf_)[idx_++]);
+            out = unpackOp(*cur_++);
             return true;
         }
         if (!handle_ || handle_.done())
@@ -249,11 +365,26 @@ class OpStream
         }
     }
 
+    /** Point cur_/end_ at buf_'s next chunk; false past the last. */
+    bool
+    loadChunk()
+    {
+        if (nextChunk_ >= buf_->numChunks())
+            return false;
+        std::span<const PackedOp> c = buf_->chunk(nextChunk_++);
+        cur_ = c.data();
+        end_ = c.data() + c.size();
+        return true;
+    }
+
     std::coroutine_handle<promise_type> handle_;
     /** Replay source; when set, next() never touches the coroutine. */
-    std::shared_ptr<const std::vector<PackedOp>> buf_;
-    /** Index of the next op served from buf_. */
-    std::size_t idx_ = 0;
+    std::shared_ptr<const ChunkedOps> buf_;
+    /** Index in buf_ of the chunk after the one being served. */
+    std::size_t nextChunk_ = 0;
+    /** Unserved ops of the current chunk. */
+    const PackedOp *cur_ = nullptr;
+    const PackedOp *end_ = nullptr;
 };
 
 } // namespace ccnuma

@@ -1,10 +1,13 @@
 #include "workload/replay.hh"
 
+#include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <thread>
 
 #include "sim/logging.hh"
 
@@ -85,15 +88,106 @@ writeU64(std::ostream &os, std::uint64_t v)
 
 } // namespace
 
-std::shared_ptr<const ReplayBuffer>
-captureWorkload(Workload &w, std::string identity)
+/**
+ * Streams are taken one at a time from next_ by every worker: the
+ * owner, the helper threads run() starts, and any caller that joins.
+ * Each stream is drained by one worker into its own ChunkedOps, so
+ * the buffer is the same whichever worker took which stream.
+ *
+ * The workload belongs to the owner, so run() waits until no worker
+ * is inside work() and then closes the job: a caller that joins after
+ * that returns without touching the workload.
+ */
+class CaptureJob
 {
-    auto b = std::make_shared<ReplayBuffer>();
-    b->identity = std::move(identity);
-    b->threads.resize(w.numThreads());
-    for (unsigned t = 0; t < w.numThreads(); ++t) {
-        OpStream s = w.thread(t);
-        std::vector<PackedOp> &ops = b->threads[t];
+  public:
+    CaptureJob(Workload &w, std::string identity)
+        : w_(w), n_(w.numThreads()), serial_(!w.independentStreams()),
+          buf_(std::make_shared<ReplayBuffer>()), closed_(serial_)
+    {
+        buf_->identity = std::move(identity);
+        buf_->threads.resize(n_);
+    }
+
+    CaptureJob(const CaptureJob &) = delete;
+    CaptureJob &operator=(const CaptureJob &) = delete;
+
+    /**
+     * Capture every stream, with helper threads when the streams are
+     * independent, and return the buffer. Rethrows the first failure
+     * of any worker. Called once, by the owner.
+     */
+    std::shared_ptr<const ReplayBuffer>
+    run()
+    {
+        if (serial_) {
+            for (unsigned t = 0; t < n_; ++t)
+                captureStream(t);
+            return buf_;
+        }
+        const unsigned workers = std::min(
+            std::max(1u, std::thread::hardware_concurrency()), n_);
+        std::vector<std::jthread> helpers;
+        try {
+            helpers.reserve(workers);
+            for (unsigned i = 1; i < workers; ++i)
+                helpers.emplace_back([this] { work(); });
+        } catch (...) {
+            // Out of threads or memory: the workers already started
+            // (the owner at least) capture every stream anyway.
+        }
+        work();
+        {
+            std::unique_lock<std::mutex> g(m_);
+            idle_.wait(g, [this] { return active_ == 0; });
+            closed_ = true;
+        }
+        helpers.clear(); // joins them
+        if (error_)
+            std::rethrow_exception(error_);
+        return buf_;
+    }
+
+    /**
+     * Take streams until none is left (or a worker failed), then
+     * return. Failures are kept for run() to rethrow.
+     */
+    void
+    work() noexcept
+    {
+        {
+            std::lock_guard<std::mutex> g(m_);
+            if (closed_)
+                return;
+            ++active_;
+        }
+        try {
+            while (!failed_.load(std::memory_order_relaxed)) {
+                unsigned t = next_.fetch_add(1, std::memory_order_relaxed);
+                if (t >= n_)
+                    break;
+                captureStream(t);
+            }
+        } catch (...) {
+            std::lock_guard<std::mutex> g(m_);
+            if (!error_)
+                error_ = std::current_exception();
+            failed_.store(true, std::memory_order_relaxed);
+        }
+        std::lock_guard<std::mutex> g(m_);
+        if (--active_ == 0)
+            idle_.notify_all();
+    }
+
+  private:
+    void
+    captureStream(unsigned t)
+    {
+        OpStream s = w_.thread(t);
+        // Filled locally and moved in at the end: neighbouring
+        // streams' ChunkedOps share cache lines, and bumping a size
+        // there on every op would bounce those lines between workers.
+        ChunkedOps ops;
         ThreadOp op;
         while (s.next(op)) {
             PackedOp p;
@@ -102,16 +196,36 @@ captureWorkload(Workload &w, std::string identity)
                       "%u, addr %#llx, count %u) does not pack into "
                       "8 bytes (addresses must be below 2^61, and a "
                       "kind carries only its own field)",
-                      b->identity.c_str(), t, ops.size(),
+                      buf_->identity.c_str(), t, ops.size(),
                       static_cast<unsigned>(op.kind),
                       static_cast<unsigned long long>(op.addr),
                       op.count);
             }
             ops.push_back(p);
         }
-        ops.shrink_to_fit();
+        buf_->threads[t] = std::move(ops);
     }
-    return b;
+
+    Workload &w_;
+    const unsigned n_;
+    /** Dependent streams: run() drains them alone, in thread order. */
+    const bool serial_;
+    std::shared_ptr<ReplayBuffer> buf_;
+    std::atomic<unsigned> next_{0};
+    std::atomic<bool> failed_{false};
+    std::mutex m_;
+    std::condition_variable idle_;
+    /** Workers inside work(). */
+    unsigned active_ = 0;
+    /** No worker may enter work() any more. */
+    bool closed_;
+    std::exception_ptr error_;
+};
+
+std::shared_ptr<const ReplayBuffer>
+captureWorkload(Workload &w, std::string identity)
+{
+    return CaptureJob(w, std::move(identity)).run();
 }
 
 ReplayCache::ReplayCache(std::uint64_t byte_cap,
@@ -234,17 +348,20 @@ ReplayCache::loadFromDisk(const std::string &identity,
     b->identity = identity;
     b->threads.resize(nthreads);
     for (std::uint64_t t = 0; t < nthreads; ++t) {
-        std::vector<PackedOp> &ops = b->threads[t];
-        ops.resize(counts[t]);
-        if (!is.read(reinterpret_cast<char *>(ops.data()),
-                     static_cast<std::streamsize>(
-                         ops.size() * sizeof(PackedOp))))
-            return nullptr;
-        for (PackedOp p : ops) {
-            if (!validPackedOp(p))
+        ChunkedOps &ops = b->threads[t];
+        for (std::uint64_t left_ops = counts[t]; left_ops != 0;) {
+            const std::size_t n = static_cast<std::size_t>(
+                std::min<std::uint64_t>(left_ops, replayChunkOps));
+            PackedOp *dst = ops.appendChunk(n);
+            if (!is.read(reinterpret_cast<char *>(dst),
+                         static_cast<std::streamsize>(
+                             n * sizeof(PackedOp))))
                 return nullptr;
+            if (!std::all_of(dst, dst + n, validPackedOp))
+                return nullptr;
+            sum = checksumWords(sum, dst, n);
+            left_ops -= n;
         }
-        sum = checksumWords(sum, ops.data(), ops.size());
     }
     std::uint64_t want = 0;
     if (!readU64(is, want) || want != sum)
@@ -282,10 +399,12 @@ ReplayCache::storeToDisk(const ReplayBuffer &b) const
         for (std::uint64_t c : counts)
             writeU64(os, c);
         for (const auto &t : b.threads) {
-            os.write(reinterpret_cast<const char *>(t.data()),
-                     static_cast<std::streamsize>(
-                         t.size() * sizeof(PackedOp)));
-            sum = checksumWords(sum, t.data(), t.size());
+            for (std::size_t c = 0; c < t.numChunks(); ++c) {
+                std::span<const PackedOp> ops = t.chunk(c);
+                os.write(reinterpret_cast<const char *>(ops.data()),
+                         static_cast<std::streamsize>(ops.size_bytes()));
+                sum = checksumWords(sum, ops.data(), ops.size());
+            }
         }
         writeU64(os, sum);
         if (!os)
@@ -303,84 +422,100 @@ ReplayCache::acquire(
     const std::string &identity,
     const std::function<std::unique_ptr<Workload>()> &make)
 {
-    while (true) {
-        std::shared_ptr<Flight> flight;
-        bool owner = false;
+    std::shared_ptr<Flight> flight;
+    bool owner = false;
+    {
+        std::lock_guard<std::mutex> g(mutex_);
+        auto it = entries_.find(identity);
+        if (it != entries_.end()) {
+            ++stats_.hits;
+            lru_.splice(lru_.end(), lru_, it->second.lruPos);
+            return it->second.buf;
+        }
+        auto fit = inFlight_.find(identity);
+        if (fit != inFlight_.end()) {
+            flight = fit->second;
+        } else {
+            flight = std::make_shared<Flight>();
+            inFlight_.emplace(identity, flight);
+            owner = true;
+        }
+    }
+
+    if (!owner) {
+        // Single-flight rendezvous: work on the owner's capture
+        // once it starts, then take its result.
+        std::shared_ptr<CaptureJob> job;
         {
-            std::lock_guard<std::mutex> g(mutex_);
-            auto it = entries_.find(identity);
-            if (it != entries_.end()) {
-                ++stats_.hits;
-                lru_.splice(lru_.end(), lru_, it->second.lruPos);
-                return it->second.buf;
-            }
-            auto fit = inFlight_.find(identity);
-            if (fit != inFlight_.end()) {
-                flight = fit->second;
-            } else {
-                flight = std::make_shared<Flight>();
-                inFlight_.emplace(identity, flight);
-                owner = true;
-            }
-        }
-
-        if (!owner) {
-            // Single-flight rendezvous: share the owner's capture.
             std::unique_lock<std::mutex> fl(flight->m);
-            flight->cv.wait(fl, [&] { return flight->done; });
-            if (!flight->failed) {
-                std::lock_guard<std::mutex> g(mutex_);
-                ++stats_.dedupWaits;
-                return flight->buf;
-            }
-            continue; // owner's capture threw; retry (maybe as owner)
+            flight->cv.wait(
+                fl, [&] { return flight->done || flight->job; });
+            if (!flight->done)
+                job = flight->job;
         }
+        if (job)
+            job->work();
+        std::unique_lock<std::mutex> fl(flight->m);
+        flight->cv.wait(fl, [&] { return flight->done; });
+        if (flight->error)
+            std::rethrow_exception(flight->error);
+        std::lock_guard<std::mutex> g(mutex_);
+        ++stats_.dedupWaits;
+        return flight->buf;
+    }
 
-        std::shared_ptr<const ReplayBuffer> buf;
-        bool from_disk = false;
-        bool stale = false;
-        try {
-            buf = loadFromDisk(identity, stale);
-            from_disk = buf != nullptr;
-            if (!from_disk) {
-                auto w = make();
-                buf = captureWorkload(*w, identity);
-            }
-        } catch (...) {
-            {
-                std::lock_guard<std::mutex> g(mutex_);
-                inFlight_.erase(identity);
-            }
+    std::shared_ptr<const ReplayBuffer> buf;
+    bool from_disk = false;
+    bool stale = false;
+    try {
+        buf = loadFromDisk(identity, stale);
+        from_disk = buf != nullptr;
+        if (!from_disk) {
+            auto w = make();
+            auto job = std::make_shared<CaptureJob>(*w, identity);
             {
                 std::lock_guard<std::mutex> fl(flight->m);
-                flight->failed = true;
-                flight->done = true;
+                flight->job = job;
             }
             flight->cv.notify_all();
-            throw;
+            buf = job->run();
         }
-
+    } catch (...) {
         {
             std::lock_guard<std::mutex> g(mutex_);
-            if (stale)
-                ++stats_.staleRejects;
-            if (from_disk)
-                ++stats_.diskHits;
-            else
-                ++stats_.captures;
-            insertLocked(identity, buf);
             inFlight_.erase(identity);
         }
-        if (!from_disk)
-            storeToDisk(*buf);
         {
             std::lock_guard<std::mutex> fl(flight->m);
-            flight->buf = buf;
+            flight->error = std::current_exception();
+            flight->job = nullptr;
             flight->done = true;
         }
         flight->cv.notify_all();
-        return buf;
+        throw;
     }
+
+    {
+        std::lock_guard<std::mutex> g(mutex_);
+        if (stale)
+            ++stats_.staleRejects;
+        if (from_disk)
+            ++stats_.diskHits;
+        else
+            ++stats_.captures;
+        insertLocked(identity, buf);
+        inFlight_.erase(identity);
+    }
+    if (!from_disk)
+        storeToDisk(*buf);
+    {
+        std::lock_guard<std::mutex> fl(flight->m);
+        flight->buf = buf;
+        flight->job = nullptr;
+        flight->done = true;
+    }
+    flight->cv.notify_all();
+    return buf;
 }
 
 ReplayStats

@@ -10,14 +10,24 @@
  * WorkloadParams field). Generating it from the data-computing
  * coroutines again for every sweep point is pure waste.
  *
- * This module captures each identity's per-thread operation vectors
- * once into a ReplayBuffer, packed 8 bytes per op (PackedOp), and
- * replays them allocation-free through OpStream::fromBuffer for every
- * later point with the same identity.
- * Replay is *provably* bit-identical: the consumer pulls ops one at a
- * time and timing feedback only decides when the next op is pulled,
- * never which op arrives, so a buffer and the coroutine it was
- * recorded from are observationally equivalent streams.
+ * This module captures each identity's per-thread operation streams
+ * once into a ReplayBuffer, packed 8 bytes per op (PackedOp) in
+ * fixed-size chunks, and replays them allocation-free through
+ * OpStream::fromBuffer for every later point with the same identity.
+ * The streams of a capture are split across host threads (see
+ * captureWorkload).
+ *
+ * Replay is bit-identical for every workload whose thread streams
+ * are independent (Workload::independentStreams): the consumer pulls
+ * ops one at a time and timing feedback only decides when the next op
+ * is pulled, never which op arrives, so a buffer and the coroutine it
+ * was recorded from are observationally equivalent streams.
+ * The exception is a workload whose threads share host-side state,
+ * which is Cholesky: its task cursor hands tasks out in the order the
+ * streams are drained. Capture drains thread 0 first, so thread 0
+ * records every task, and a replayed run schedules the whole task DAG
+ * on one processor where a live run spreads it in simulated-time
+ * order. Instruction and reference totals match; timing does not.
  *
  * The identity key is a caller-supplied canonical text (the campaign
  * layer passes serve::canonicalWorkload(app, params), which renders
@@ -45,6 +55,7 @@
 
 #include <condition_variable>
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <list>
 #include <memory>
@@ -59,14 +70,14 @@ namespace ccnuma
 {
 
 /**
- * A captured reference stream: one packed-op vector per workload
- * thread.
+ * A captured reference stream: one chunked packed-op stream per
+ * workload thread.
  */
 struct ReplayBuffer
 {
     /** Canonical workload identity this trace was captured from. */
     std::string identity;
-    std::vector<std::vector<PackedOp>> threads;
+    std::vector<ChunkedOps> threads;
 
     /** Resident payload size (ops only; identity text is noise). */
     std::uint64_t
@@ -95,9 +106,22 @@ struct ReplayBuffer
  * An op that cannot be packed exactly (see packOp) is a fatal error:
  * replaying anything but the generated stream would be silently
  * wrong.
+ *
+ * When @p w's streams are independent, the calling thread and helper
+ * threads it starts (up to std::thread::hardware_concurrency() in
+ * all, joined before the call returns) take streams from a shared
+ * counter; otherwise the caller drains them alone, in thread order.
+ * Either way the buffer holds the same ops.
  */
 std::shared_ptr<const ReplayBuffer>
 captureWorkload(Workload &w, std::string identity);
+
+/**
+ * One capture that several host threads can work on: the owner
+ * (run()) and any caller that joins it (join()) take thread streams
+ * from a shared counter. Defined in replay.cc.
+ */
+class CaptureJob;
 
 /** Monotonic counters for every replay-cache outcome. */
 struct ReplayStats
@@ -145,7 +169,11 @@ class ReplayCache
     /**
      * Return the trace for @p identity, capturing it with a workload
      * from @p make on the first request. Concurrent requests for the
-     * same identity share one capture (single-flight). The returned
+     * same identity share one capture (single-flight): while it runs,
+     * they take streams from it alongside its owner instead of
+     * sleeping, and each counts as a dedup wait. When the capture
+     * fails, the owner and every caller that shared it get the
+     * failure, and the next request starts a new capture. The returned
      * buffer is immutable and safe to replay from any thread.
      */
     std::shared_ptr<const ReplayBuffer>
@@ -166,7 +194,10 @@ class ReplayCache
         std::mutex m;
         std::condition_variable cv;
         bool done = false;
-        bool failed = false;
+        /** Set once the owner starts capturing (not for a disk load). */
+        std::shared_ptr<CaptureJob> job;
+        /** The owner's failure, handed to every caller that waited. */
+        std::exception_ptr error;
         std::shared_ptr<const ReplayBuffer> buf;
     };
 
@@ -194,7 +225,7 @@ class ReplayCache
 
 /**
  * Wrap a captured trace as a Workload: thread(tid) replays the
- * recorded vector allocation-free; name()/place()/params() delegate
+ * recorded stream allocation-free; name()/place()/params() delegate
  * to a fresh @p inner instance of the same identity (placement hints
  * are machine-facing, cheap, and must still run per machine).
  */
@@ -216,10 +247,9 @@ class ReplayWorkload : public Workload
     thread(unsigned tid) override
     {
         // Aliasing shared_ptr: the stream keeps the whole buffer
-        // alive while indexing one thread's vector.
-        return OpStream::fromBuffer(
-            std::shared_ptr<const std::vector<PackedOp>>(
-                buf_, &buf_->threads.at(tid)));
+        // alive while reading one thread's ops.
+        return OpStream::fromBuffer(std::shared_ptr<const ChunkedOps>(
+            buf_, &buf_->threads.at(tid)));
     }
 
     void place(AddressMap &map) override { inner_->place(map); }

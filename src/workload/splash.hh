@@ -56,6 +56,8 @@ class CholeskyWorkload : public Workload
     explicit CholeskyWorkload(const WorkloadParams &p);
     std::string name() const override { return "Cholesky"; }
     OpStream thread(unsigned tid) override;
+    /** Every thread draws tasks from the shared nextTask_ cursor. */
+    bool independentStreams() const override { return false; }
 
   private:
     struct Task

@@ -59,6 +59,17 @@ class Workload
     virtual OpStream thread(unsigned tid) = 0;
 
     /**
+     * True when each thread's stream depends on nothing but its own
+     * generation: streams may then be drained in any order, on any
+     * host thread, concurrently, and come out the same. A workload
+     * whose threads share host-side state that generation mutates
+     * (Cholesky's dynamic task cursor) returns false, and replay
+     * capture then drains its streams one after another in thread
+     * order on one host thread.
+     */
+    virtual bool independentStreams() const { return true; }
+
+    /**
      * Apply page-placement hints before the run (the paper's FFT
      * uses programmer-optimal placement; everything else relies on
      * the default round-robin policy).

@@ -5,8 +5,12 @@
  * op for op across every kernel and thread, and result for result
  * when driven through a whole Machine (including under seeded fault
  * injection, which perturbs timing but must never change which ops a
- * processor issues). The cache plumbing is covered too: single-flight
- * capture dedup, LRU eviction at the byte cap, an oversize trace kept
+ * processor issues). A capture split across host threads must equal
+ * the single-threaded one, in memory and on disk, and streams must
+ * replay exactly across chunk boundaries. The cache plumbing is
+ * covered too: single-flight capture dedup with callers joining the
+ * capture, a worker's failure reaching every caller, LRU eviction at
+ * the byte cap, an oversize trace kept
  * out of the cache, disk persistence with a fresh process's cold
  * cache served from disk, and stale disk files (identity-text
  * mismatch, seeded corruption, the version 1 format) rejected and
@@ -18,10 +22,13 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <latch>
 #include <random>
 #include <sstream>
 #include <string>
@@ -30,6 +37,7 @@
 
 #include "system/machine.hh"
 #include "workload/replay.hh"
+#include "workload/synthetic.hh"
 #include "workload/workload.hh"
 
 namespace ccnuma
@@ -111,6 +119,31 @@ struct TempDir
     }
 };
 
+/**
+ * @p inner with its streams declared dependent, so capture drains
+ * them one after another in thread order on the calling thread: the
+ * single-threaded reference for the split capture.
+ */
+struct SerialStreams : Workload
+{
+    std::unique_ptr<Workload> inner;
+    explicit SerialStreams(std::unique_ptr<Workload> w)
+        : Workload(w->params()), inner(std::move(w))
+    {}
+    std::string name() const override { return inner->name(); }
+    OpStream thread(unsigned tid) override { return inner->thread(tid); }
+    bool independentStreams() const override { return false; }
+};
+
+std::string
+readFile(const std::filesystem::path &f)
+{
+    std::ifstream is(f, std::ios::binary);
+    std::ostringstream os;
+    os << is.rdbuf();
+    return os.str();
+}
+
 class ReplayKernels : public ::testing::TestWithParam<std::string>
 {
 };
@@ -137,6 +170,22 @@ TEST_P(ReplayKernels, CapturedStreamMatchesFreshGenerationOpForOp)
     }
 }
 
+TEST_P(ReplayKernels, SplitCaptureMatchesSingleThreadedCapture)
+{
+    // Enough threads and ops that streams span several chunks and
+    // the capture's workers interleave.
+    const WorkloadParams p = tinyParams(16, 0.25);
+    const std::string id = identityOf(GetParam(), p);
+    auto split = makeWorkload(GetParam(), p);
+    SerialStreams serial(makeWorkload(GetParam(), p));
+    auto a = captureWorkload(*split, id);
+    auto b = captureWorkload(serial, id);
+    ASSERT_EQ(a->threads.size(), p.numThreads);
+    EXPECT_GT(a->ops(), 0u);
+    EXPECT_TRUE(a->threads == b->threads);
+    EXPECT_EQ(a->bytes(), b->bytes());
+}
+
 INSTANTIATE_TEST_SUITE_P(AllKernels, ReplayKernels,
                          ::testing::ValuesIn(splashNames()),
                          [](const auto &info) {
@@ -151,6 +200,16 @@ INSTANTIATE_TEST_SUITE_P(AllKernels, ReplayKernels,
 
 TEST(Replay, MachineRunBitIdenticalUnderReplay)
 {
+    // Every workload that declares independent streams must run the
+    // same live and replayed, down to the stats dump. Cholesky's
+    // threads share a host-side task cursor, so it must say so.
+    EXPECT_FALSE(makeWorkload("Cholesky", tinyParams())
+                     ->independentStreams());
+    std::vector<std::string> apps = {"Uniform"};
+    for (const std::string &app : splashNames()) {
+        if (app != "Cholesky")
+            apps.push_back(app);
+    }
     MachineConfig cfg = MachineConfig::base();
     cfg.numNodes = 2;
     cfg.node.procsPerNode = 2;
@@ -158,19 +217,30 @@ TEST(Replay, MachineRunBitIdenticalUnderReplay)
     const WorkloadParams p =
         tinyParams(cfg.totalProcs(), 0.05);
 
-    auto generated = makeWorkload("FFT", p);
-    Machine m1(cfg);
-    RunResult direct = m1.run(*generated);
+    for (const std::string &app : apps) {
+        SCOPED_TRACE(app);
+        ASSERT_TRUE(makeWorkload(app, p)->independentStreams());
 
-    auto source = makeWorkload("FFT", p);
-    auto buf = captureWorkload(*source, identityOf("FFT", p));
-    ReplayWorkload replayed(makeWorkload("FFT", p), buf);
-    Machine m2(cfg);
-    RunResult viaReplay = m2.run(replayed);
+        auto generated = makeWorkload(app, p);
+        Machine m1(cfg);
+        RunResult direct = m1.run(*generated);
+        std::ostringstream liveStats;
+        m1.printStats(liveStats);
 
-    EXPECT_EQ(direct.instructions, viaReplay.instructions);
-    EXPECT_EQ(direct.execTicks, viaReplay.execTicks);
-    EXPECT_EQ(direct.memRefs, viaReplay.memRefs);
+        auto source = makeWorkload(app, p);
+        auto buf = captureWorkload(*source, identityOf(app, p));
+        ReplayWorkload replayed(makeWorkload(app, p), buf);
+        Machine m2(cfg);
+        RunResult viaReplay = m2.run(replayed);
+        std::ostringstream replayStats;
+        m2.printStats(replayStats);
+
+        EXPECT_GT(direct.memRefs, 0u);
+        EXPECT_EQ(direct.instructions, viaReplay.instructions);
+        EXPECT_EQ(direct.execTicks, viaReplay.execTicks);
+        EXPECT_EQ(direct.memRefs, viaReplay.memRefs);
+        EXPECT_EQ(liveStats.str(), replayStats.str());
+    }
 }
 
 TEST(Replay, SeededFaultCampaignComposesWithReplay)
@@ -250,6 +320,201 @@ TEST(Replay, ConcurrentAcquiresShareOneCapture)
         EXPECT_EQ(b.get(), got[0].get());
     }
     EXPECT_EQ(cache.stats().captures, 1u);
+}
+
+TEST(Replay, JoinersShareOneCaptureAndCountAsDedupWaits)
+{
+    // Hold the owner in make() until every caller is inside acquire,
+    // so the others find the capture in flight and join it.
+    constexpr unsigned callers = 4;
+    ReplayCache cache(64 << 20);
+    const WorkloadParams p = tinyParams(16, 0.1);
+    const std::string id = identityOf("LU", p);
+    std::latch arrived(callers);
+    std::vector<std::shared_ptr<const ReplayBuffer>> got(callers);
+    std::vector<std::thread> threads;
+    for (unsigned i = 0; i < callers; ++i) {
+        threads.emplace_back([&, i] {
+            arrived.count_down();
+            got[i] = cache.acquire(id, [&] {
+                arrived.wait();
+                std::this_thread::sleep_for(
+                    std::chrono::milliseconds(100));
+                return makeWorkload("LU", p);
+            });
+        });
+    }
+    for (auto &t : threads)
+        t.join();
+    for (const auto &b : got) {
+        ASSERT_NE(b, nullptr);
+        EXPECT_EQ(b.get(), got[0].get());
+    }
+    ReplayStats st = cache.stats();
+    EXPECT_EQ(st.captures, 1u);
+    EXPECT_EQ(st.dedupWaits, callers - 1);
+    EXPECT_EQ(st.hits, 0u);
+    EXPECT_DOUBLE_EQ(st.hitRate(), 0.75);
+
+    auto fresh = makeWorkload("LU", p);
+    auto serial = captureWorkload(*fresh, id);
+    EXPECT_TRUE(got[0]->threads == serial->threads);
+}
+
+TEST(Replay, FailureOffTheOwnerThreadReachesEveryCaller)
+{
+    // Streams generated on any host thread but the owner's yield an
+    // op that does not pack, so the fatal is raised on a helper or a
+    // joiner. The owner's own streams are slow, so other workers are
+    // sure to take some.
+    struct FailsOffOwner : Workload
+    {
+        std::thread::id owner = std::this_thread::get_id();
+        explicit FailsOffOwner(const WorkloadParams &p) : Workload(p) {}
+        std::string name() const override { return "FailsOffOwner"; }
+        OpStream
+        thread(unsigned) override
+        {
+            if (std::this_thread::get_id() != owner) {
+                co_yield ThreadOp{};
+            } else {
+                std::this_thread::sleep_for(
+                    std::chrono::milliseconds(20));
+                co_yield ThreadOp::load(64);
+            }
+        }
+    };
+    constexpr unsigned callers = 4;
+    ReplayCache cache(64 << 20);
+    const WorkloadParams p = tinyParams(16);
+    const std::string id = "fails-off-owner";
+    std::latch arrived(callers);
+    std::atomic<unsigned> failures{0};
+    std::vector<std::thread> threads;
+    for (unsigned i = 0; i < callers; ++i) {
+        threads.emplace_back([&] {
+            arrived.count_down();
+            try {
+                cache.acquire(id, [&]() -> std::unique_ptr<Workload> {
+                    arrived.wait();
+                    std::this_thread::sleep_for(
+                        std::chrono::milliseconds(100));
+                    return std::make_unique<FailsOffOwner>(p);
+                });
+            } catch (const FatalError &) {
+                ++failures;
+            }
+        });
+    }
+    for (auto &t : threads)
+        t.join();
+    EXPECT_EQ(failures.load(), callers);
+    ReplayStats st = cache.stats();
+    EXPECT_EQ(st.captures, 0u);
+    EXPECT_EQ(st.dedupWaits, 0u);
+    EXPECT_EQ(st.entries, 0u);
+
+    // No in-flight entry is left behind: the next request captures.
+    auto buf = cache.acquire(id, [&] { return makeWorkload("FFT", p); });
+    ASSERT_NE(buf, nullptr);
+    EXPECT_GT(buf->ops(), 0u);
+    EXPECT_EQ(cache.stats().captures, 1u);
+}
+
+TEST(Replay, StreamsAroundChunkBoundariesReplayExactly)
+{
+    const std::size_t sizes[] = {0,
+                                 1,
+                                 replayChunkOps - 1,
+                                 replayChunkOps,
+                                 replayChunkOps + 1,
+                                 2 * replayChunkOps + 1};
+    std::vector<std::vector<ThreadOp>> scripts;
+    for (std::size_t n : sizes) {
+        std::vector<ThreadOp> ops;
+        for (std::size_t i = 0; i < n; ++i) {
+            ops.push_back(i % 3 == 0 ? ThreadOp::compute(
+                                           static_cast<std::uint32_t>(i))
+                                     : ThreadOp::store(64 * (i + n)));
+        }
+        scripts.push_back(std::move(ops));
+    }
+    const WorkloadParams p =
+        tinyParams(static_cast<unsigned>(scripts.size()));
+    TempDir dir;
+    ReplayCache warm(64 << 20, dir.path.string());
+    auto buf = warm.acquire("chunks", [&] {
+        return std::make_unique<ScriptWorkload>(p, scripts);
+    });
+    ReplayCache cold(64 << 20, dir.path.string());
+    auto loaded = cold.acquire("chunks", [&] {
+        return std::make_unique<ScriptWorkload>(p, scripts);
+    });
+    EXPECT_EQ(cold.stats().diskHits, 1u);
+
+    for (const auto &b : {buf, loaded}) {
+        ReplayWorkload replayed(std::make_unique<ScriptWorkload>(p, scripts),
+                                b);
+        for (unsigned t = 0; t < scripts.size(); ++t) {
+            SCOPED_TRACE("stream of " + std::to_string(sizes[t]));
+            EXPECT_EQ(b->threads[t].size(), sizes[t]);
+            EXPECT_EQ(b->threads[t].numChunks(),
+                      (sizes[t] + replayChunkOps - 1) / replayChunkOps);
+            // Move the stream half way through: a replay cursor must
+            // carry its chunk position with it.
+            OpStream s = replayed.thread(t);
+            std::vector<ThreadOp> got;
+            ThreadOp op;
+            for (std::size_t i = 0; i < sizes[t] / 2 && s.next(op); ++i)
+                got.push_back(op);
+            OpStream moved = std::move(s);
+            EXPECT_FALSE(s.next(op));
+            while (moved.next(op))
+                got.push_back(op);
+            EXPECT_FALSE(moved.next(op));
+            ASSERT_EQ(got.size(), scripts[t].size());
+            for (std::size_t i = 0; i < got.size(); ++i)
+                ASSERT_TRUE(sameOp(got[i], scripts[t][i])) << "op " << i;
+        }
+    }
+}
+
+TEST(Replay, SplitCaptureWritesTheSerialCapturesFile)
+{
+    // The same identity captured split and serially must persist the
+    // same bytes, and the split capture's file must load.
+    const WorkloadParams p = tinyParams(16, 0.1);
+    for (const std::string app : {"LU", "Radix", "Barnes"}) {
+        SCOPED_TRACE(app);
+        const std::string id = identityOf(app, p);
+        TempDir split, serial;
+        {
+            ReplayCache a(64 << 20, split.path.string());
+            a.acquire(id, [&] { return makeWorkload(app, p); });
+            ReplayCache b(64 << 20, serial.path.string());
+            b.acquire(id, [&]() -> std::unique_ptr<Workload> {
+                return std::make_unique<SerialStreams>(
+                    makeWorkload(app, p));
+            });
+        }
+        auto only = [](const TempDir &d) {
+            std::filesystem::path f;
+            for (const auto &e :
+                 std::filesystem::directory_iterator(d.path))
+                f = e.path();
+            return f;
+        };
+        const std::filesystem::path fs = only(split), fr = only(serial);
+        ASSERT_FALSE(fs.empty());
+        EXPECT_EQ(fs.filename(), fr.filename());
+        EXPECT_TRUE(readFile(fs) == readFile(fr));
+
+        ReplayCache cold(64 << 20, split.path.string());
+        auto loaded = cold.acquire(id, [&] { return makeWorkload(app, p); });
+        EXPECT_EQ(cold.stats().diskHits, 1u);
+        auto fresh = makeWorkload(app, p);
+        EXPECT_TRUE(loaded->threads == captureWorkload(*fresh, id)->threads);
+    }
 }
 
 TEST(Replay, ByteCapEvictsLeastRecentlyUsed)
@@ -406,15 +671,6 @@ TEST(Replay, TruncatedDiskFileIsIgnored)
     EXPECT_EQ(cold.stats().diskHits, 0u);
     EXPECT_EQ(cold.stats().captures, 1u);
     EXPECT_GT(buf->ops(), 0u);
-}
-
-std::string
-readFile(const std::filesystem::path &f)
-{
-    std::ifstream is(f, std::ios::binary);
-    std::ostringstream os;
-    os << is.rdbuf();
-    return os.str();
 }
 
 void
