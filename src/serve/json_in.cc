@@ -138,8 +138,8 @@ class Parser
         skipWs();
         char c = peek();
         switch (c) {
-          case '{': return object();
-          case '[': return array();
+          case '{': return nested(&Parser::object);
+          case '[': return nested(&Parser::array);
           case '"': {
             JsonValue v;
             v.type = JsonValue::Type::String;
@@ -169,6 +169,23 @@ class Parser
           }
           default: return numberValue();
         }
+    }
+
+    /**
+     * Parse one array or object level. The parser recurses once per
+     * level, so without a cap a 100 KB run of '[' overflows a
+     * thread's stack.
+     */
+    JsonValue
+    nested(JsonValue (Parser::*level)())
+    {
+        if (depth_ == maxJsonDepth)
+            fail("nested deeper than " + std::to_string(maxJsonDepth) +
+                 " levels");
+        ++depth_;
+        JsonValue v = (this->*level)();
+        --depth_;
+        return v;
     }
 
     JsonValue
@@ -320,6 +337,8 @@ class Parser
 
     std::string_view text_;
     std::size_t pos_ = 0;
+    /** Arrays and objects open around the current position. */
+    unsigned depth_ = 0;
 };
 
 } // namespace

@@ -91,9 +91,13 @@ class JsonValue
                           const std::string &def) const;
 };
 
+/** Deepest nesting of arrays and objects that parseJson accepts. */
+inline constexpr unsigned maxJsonDepth = 64;
+
 /**
  * Parse @p text as one JSON document (trailing whitespace allowed,
- * trailing garbage rejected). Throws JsonError on malformed input.
+ * trailing garbage rejected). Throws JsonError on malformed input,
+ * including arrays and objects nested deeper than maxJsonDepth.
  */
 JsonValue parseJson(std::string_view text);
 

@@ -1,5 +1,6 @@
 #include "serve/result_cache.hh"
 
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -79,6 +80,36 @@ ResultCache::evictLocked()
     stats_.entries = entries_.size();
 }
 
+namespace
+{
+
+/**
+ * The whole persisted file for (@p canonical, @p r): the canonical
+ * text, a digest of the result text, and the result. The digest is
+ * what tells a changed value inside "result" (which still parses and
+ * still matches the canonical text) from the stored one.
+ */
+std::string
+cacheFileText(const std::string &canonical, const RunResult &r)
+{
+    char digest[24];
+    std::snprintf(digest, sizeof(digest), "%016llx",
+                  static_cast<unsigned long long>(
+                      hash64(resultToJson(r))));
+    std::ostringstream os;
+    report::JsonWriter j(os);
+    j.beginObject();
+    j.key("canonical").value(canonical);
+    j.key("digest").value(digest);
+    j.key("result");
+    writeRunResult(j, r);
+    j.endObject();
+    os << "\n";
+    return os.str();
+}
+
+} // namespace
+
 std::string
 ResultCache::pathFor(std::uint64_t hash) const
 {
@@ -98,17 +129,21 @@ ResultCache::loadFromDisk(const PointKey &key, RunResult &out)
         return false;
     std::ostringstream buf;
     buf << is.rdbuf();
+    const std::string text = buf.str();
     try {
-        JsonValue doc = parseJson(buf.str());
-        // The canonical text is persisted with the result; a stale
-        // or colliding file whose canonical form differs from the
-        // request is ignored, exactly like the in-memory guard.
-        if (doc.getString("canonical", "") != key.canonical)
-            return false;
+        const JsonValue doc = parseJson(text);
         const JsonValue *r = doc.get("result");
         if (!r)
             return false;
-        out = resultFromJson(*r);
+        RunResult loaded = resultFromJson(*r);
+        // Served only when the file is byte for byte what storeToDisk
+        // writes for this point and this result: a stale or colliding
+        // canonical text, a digest that does not match the result (a
+        // changed value), a file without a digest, or any other edit
+        // is a miss, and the file is rewritten.
+        if (text != cacheFileText(key.canonical, loaded))
+            return false;
+        out = std::move(loaded);
         return true;
     } catch (const JsonError &) {
         return false; // corrupt file == miss; it will be rewritten
@@ -130,13 +165,7 @@ ResultCache::storeToDisk(const PointKey &key, const RunResult &r)
         std::ofstream os(tmp);
         if (!os)
             return;
-        report::JsonWriter j(os);
-        j.beginObject();
-        j.key("canonical").value(key.canonical);
-        j.key("result");
-        writeRunResult(j, r);
-        j.endObject();
-        os << "\n";
+        os << cacheFileText(key.canonical, r);
     }
     // Atomic publish: a concurrent reader sees the old file or the
     // new one, never a torn write.

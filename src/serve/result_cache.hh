@@ -18,6 +18,10 @@
  *    caller-chosen directory, bench/out/cache/ by convention):
  *    a memory miss consults disk before simulating, and every fill
  *    is written through, so a restarted daemon keeps its history.
+ *    Each file carries its canonical text and a digest of the
+ *    result text; a file that is not byte for byte what would be
+ *    written for the requested point and the result it holds is a
+ *    miss and gets rewritten, so a corrupted result is never served.
  *
  * Every outcome is counted (hits, misses, dedup waits, disk hits,
  * evictions, collisions) — cache behavior is never silent.

@@ -40,6 +40,9 @@ makeSimPoint(const std::string &app, Arch arch, unsigned procs,
         // down to the nearest divisor rather than rejecting the run.
         cfg.shards = std::gcd(shards, cfg.numNodes);
     }
+    // Machine applies these too; applying them here makes key() the
+    // key of the configuration that actually runs.
+    cfg.withEnvOverrides();
 
     pt.wp.numThreads = procs;
     pt.wp.scale = scale;

@@ -56,7 +56,9 @@ unsigned procsForApp(const std::string &app, unsigned default_procs);
  * Resolve one (app, arch) request into a SimPoint, reproducing the
  * bench harness conventions exactly: base config, procs-per-node
  * split, arch, caller tweak, --shards folded to a node-count
- * divisor, and workload params tied to the post-tweak line size.
+ * divisor, the CCNUMA_* overrides Machine applies
+ * (MachineConfig::withEnvOverrides), and workload params tied to the
+ * post-tweak line size.
  * @p procs is the point's processor count (callers that honor the
  * paper's LU/Cholesky convention pass procsForApp() output).
  */

@@ -1,5 +1,10 @@
 #include "system/config.hh"
 
+#include <cstdlib>
+#include <cstring>
+#include <limits>
+#include <optional>
+
 #include "sim/logging.hh"
 
 namespace ccnuma
@@ -70,6 +75,97 @@ MachineConfig::withIntegrity()
     // directory UE escalates through the crash-recovery machinery.
     reliable.crc = true;
     return withCrashRecovery();
+}
+
+namespace
+{
+
+/**
+ * The on/off environment switch @p name: true for "1" or "on", false
+ * for "0" or "off", nullopt when unset or anything else (warned
+ * about; the setting stays @p current).
+ */
+std::optional<bool>
+envSwitch(const char *name, bool current)
+{
+    const char *env = std::getenv(name);
+    if (env == nullptr)
+        return std::nullopt;
+    if (!std::strcmp(env, "1") || !std::strcmp(env, "on"))
+        return true;
+    if (!std::strcmp(env, "0") || !std::strcmp(env, "off"))
+        return false;
+    warn("%s=%s not recognized (use 1|on|0|off); it stays %s", name,
+         env, current ? "on" : "off");
+    return std::nullopt;
+}
+
+} // namespace
+
+MachineConfig &
+MachineConfig::withEnvOverrides()
+{
+    // CCNUMA_RELIABLE, _RECOVERY and _INTEGRITY force-enable end-to-end
+    // message recovery, fail-stop crash recovery and data integrity
+    // (each implying the ones before it); "0" leaves the config alone.
+    if (envSwitch("CCNUMA_RELIABLE", reliable.enabled).value_or(false))
+        withReliableTransport();
+    if (envSwitch("CCNUMA_RECOVERY", recovery.enabled).value_or(false))
+        withCrashRecovery();
+    if (envSwitch("CCNUMA_INTEGRITY", integrity.enabled).value_or(false))
+        withIntegrity();
+    // CCNUMA_SHARDS overrides the configured shard count. Only a
+    // positive integer that fits the count is taken; "-5" must not
+    // wrap to a huge shard count.
+    std::uint64_t env_shards = shards;
+    if (envPositiveInt("CCNUMA_SHARDS", env_shards)) {
+        if (env_shards <= std::numeric_limits<unsigned>::max()) {
+            shards = static_cast<unsigned>(env_shards);
+        } else {
+            warn("CCNUMA_SHARDS=%llu is too large; shard count stays "
+                 "%u", (unsigned long long)env_shards, shards);
+        }
+    }
+    // CCNUMA_MAX_TICKS overrides the run's tick limit. A zero or
+    // unparsable limit would stop the run at tick 0 and report a
+    // wedge, so only a positive integer is taken.
+    envPositiveInt("CCNUMA_MAX_TICKS", maxTicks);
+    // CCNUMA_WINDOW overrides the sharded window policy. Every
+    // policy is bit-identical; this is a wall-clock ablation knob.
+    if (const char *env = std::getenv("CCNUMA_WINDOW")) {
+        if (!std::strcmp(env, "conservative")) {
+            windowPolicy = WindowPolicy::Conservative;
+        } else if (!std::strcmp(env, "adaptive")) {
+            windowPolicy = WindowPolicy::Adaptive;
+        } else {
+            warn("CCNUMA_WINDOW=%s not recognized (use "
+                 "conservative|adaptive); policy stays %s",
+                 env, windowPolicyName(windowPolicy));
+        }
+    }
+    // CCNUMA_SYNC_DEFER forces the deferred (sharded-style) sync
+    // grant path in serial runs, making a serial run a bit-identity
+    // oracle for the sharded modes.
+    if (auto on = envSwitch("CCNUMA_SYNC_DEFER", forceSyncDefer))
+        forceSyncDefer = *on;
+    // CCNUMA_VERIFY force-enables the checker and/or watchdog. The
+    // checker forces the serial scheduler (see Machine).
+    if (const char *env = std::getenv("CCNUMA_VERIFY")) {
+        if (!std::strcmp(env, "1") || !std::strcmp(env, "checker") ||
+            !std::strcmp(env, "all")) {
+            verify.checker = true;
+        }
+        if (!std::strcmp(env, "watchdog") ||
+            !std::strcmp(env, "all")) {
+            verify.watchdog = true;
+        }
+        if (!verify.checker && !verify.watchdog) {
+            warn("CCNUMA_VERIFY=%s not recognized (use "
+                 "checker|watchdog|all|1); verification stays off",
+                 env);
+        }
+    }
+    return *this;
 }
 
 namespace

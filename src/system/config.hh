@@ -195,6 +195,16 @@ struct MachineConfig
     MachineConfig &withIntegrity();
 
     /**
+     * Apply the CCNUMA_* environment overrides that change what a run
+     * computes: CCNUMA_RELIABLE, _RECOVERY, _INTEGRITY, _SHARDS,
+     * _MAX_TICKS, _WINDOW, _SYNC_DEFER and _VERIFY. Idempotent.
+     * Machine's constructor applies them, and so does
+     * serve::makeSimPoint, so that a point's result-cache key is taken
+     * from the configuration that actually runs.
+     */
+    MachineConfig &withEnvOverrides();
+
+    /**
      * Sanity-check the configuration, raising FatalError with an
      * actionable message on nonsense (zero nodes, non-power-of-two
      * line/page sizes, zero port width/cycle, ...). Machine's

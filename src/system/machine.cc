@@ -4,7 +4,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
-#include <limits>
 
 #include "net/reliable.hh"
 #include "obs/tracer.hh"
@@ -20,42 +19,10 @@ namespace ccnuma
 Machine::Machine(const MachineConfig &cfg)
     : cfg_(cfg), map_(cfg.numNodes, cfg.pageBytes)
 {
-    // The CCNUMA_RELIABLE environment knob force-enables end-to-end
-    // message recovery (transport + bounded NACK retry) without a
-    // config change. Must happen before node construction: the nodes
-    // copy their controller retry policy out of cfg_.
-    if (const char *env = std::getenv("CCNUMA_RELIABLE")) {
-        if (!std::strcmp(env, "1") || !std::strcmp(env, "on")) {
-            cfg_.withReliableTransport();
-        } else if (std::strcmp(env, "0") && std::strcmp(env, "off")) {
-            warn("CCNUMA_RELIABLE=%s not recognized (use 1|on|0|off);"
-                 " recovery stays off", env);
-        }
-    }
-    // The CCNUMA_RECOVERY environment knob force-enables the
-    // fail-stop crash-recovery subsystem (implying the reliable
-    // transport) without a config change. Same before-node-construction
-    // requirement: the knobs below travel into cfg_.node.
-    if (const char *env = std::getenv("CCNUMA_RECOVERY")) {
-        if (!std::strcmp(env, "1") || !std::strcmp(env, "on")) {
-            cfg_.withCrashRecovery();
-        } else if (std::strcmp(env, "0") && std::strcmp(env, "off")) {
-            warn("CCNUMA_RECOVERY=%s not recognized (use 1|on|0|off);"
-                 " crash recovery stays off", env);
-        }
-    }
-    // The CCNUMA_INTEGRITY environment knob force-enables the
-    // data-integrity subsystem (frame CRC, ECC scrubbing, line
-    // poisoning — implying crash recovery and the reliable
-    // transport) without a config change.
-    if (const char *env = std::getenv("CCNUMA_INTEGRITY")) {
-        if (!std::strcmp(env, "1") || !std::strcmp(env, "on")) {
-            cfg_.withIntegrity();
-        } else if (std::strcmp(env, "0") && std::strcmp(env, "off")) {
-            warn("CCNUMA_INTEGRITY=%s not recognized (use "
-                 "1|on|0|off); integrity stays off", env);
-        }
-    }
+    // The CCNUMA_* environment knobs. Must happen before node
+    // construction: the nodes copy their controller retry policy and
+    // recovery knobs out of cfg_.
+    cfg_.withEnvOverrides();
     // Recovery knobs reach the node components through the config:
     // the controllers copy their CcParams and the cache units their
     // per-miss timer out of cfg_.node at construction.
@@ -67,68 +34,6 @@ Machine::Machine(const MachineConfig &cfg)
         cfg_.node.cc.probeFanout = cfg_.recovery.probeFanout;
         cfg_.node.cache.missTimeoutTicks =
             cfg_.recovery.missTimeoutTicks;
-    }
-    // CCNUMA_SHARDS overrides the configured shard count.
-    // Only a positive integer that fits the count is taken; "-5"
-    // must not wrap to a huge shard count.
-    std::uint64_t shards = cfg_.shards;
-    if (envPositiveInt("CCNUMA_SHARDS", shards)) {
-        if (shards <= std::numeric_limits<unsigned>::max()) {
-            cfg_.shards = static_cast<unsigned>(shards);
-        } else {
-            warn("CCNUMA_SHARDS=%llu is too large; shard count stays "
-                 "%u", (unsigned long long)shards, cfg_.shards);
-        }
-    }
-    // CCNUMA_MAX_TICKS overrides the run's tick limit. A zero or
-    // unparsable limit would stop the run at tick 0 and report a
-    // wedge, so only a positive integer is taken.
-    envPositiveInt("CCNUMA_MAX_TICKS", cfg_.maxTicks);
-    // CCNUMA_WINDOW overrides the sharded window policy. Every
-    // policy is bit-identical; this is a wall-clock ablation knob.
-    if (const char *env = std::getenv("CCNUMA_WINDOW")) {
-        if (!std::strcmp(env, "conservative")) {
-            cfg_.windowPolicy = WindowPolicy::Conservative;
-        } else if (!std::strcmp(env, "adaptive")) {
-            cfg_.windowPolicy = WindowPolicy::Adaptive;
-        } else {
-            warn("CCNUMA_WINDOW=%s not recognized (use "
-                 "conservative|adaptive); policy stays %s",
-                 env, windowPolicyName(cfg_.windowPolicy));
-        }
-    }
-    // CCNUMA_SYNC_DEFER forces the deferred (sharded-style) sync
-    // grant path in serial runs, making a serial run a bit-identity
-    // oracle for the sharded modes.
-    if (const char *env = std::getenv("CCNUMA_SYNC_DEFER")) {
-        if (!std::strcmp(env, "1") || !std::strcmp(env, "on")) {
-            cfg_.forceSyncDefer = true;
-        } else if (!std::strcmp(env, "0") || !std::strcmp(env, "off")) {
-            cfg_.forceSyncDefer = false;
-        } else {
-            warn("CCNUMA_SYNC_DEFER=%s not recognized (use 1|on|0|"
-                 "off); sync deferral stays %s", env,
-                 cfg_.forceSyncDefer ? "on" : "off");
-        }
-    }
-    // Verification subsystem (off by default; see DESIGN.md). The
-    // CCNUMA_VERIFY environment knob force-enables the checker
-    // and/or watchdog without touching the configuration. Parsed
-    // before the shard layout is fixed: the checker forces serial.
-    if (const char *env = std::getenv("CCNUMA_VERIFY")) {
-        if (!std::strcmp(env, "1") || !std::strcmp(env, "checker") ||
-            !std::strcmp(env, "all")) {
-            cfg_.verify.checker = true;
-        }
-        if (!std::strcmp(env, "watchdog") ||
-            !std::strcmp(env, "all")) {
-            cfg_.verify.watchdog = true;
-        }
-        if (!cfg_.verify.checker && !cfg_.verify.watchdog) {
-            warn("CCNUMA_VERIFY=%s not recognized (use "
-                 "checker|watchdog|all|1); verification stays off",
-                 env);
-        }
     }
     cfg_.validate();
     shardsRequested_ = cfg_.shards;

@@ -164,18 +164,6 @@ class ChunkedOps
         ++size_;
     }
 
-    /**
-     * Append @p n uninitialized ops as a new chunk and return where
-     * they go. Only at a chunk boundary, with 0 < n <= replayChunkOps.
-     */
-    PackedOp *
-    appendChunk(std::size_t n)
-    {
-        newChunk();
-        size_ += n;
-        return chunks_.back().get();
-    }
-
     std::size_t numChunks() const { return chunks_.size(); }
 
     /** Chunk @p c's ops; every chunk but the last is full. */

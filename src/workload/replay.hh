@@ -31,23 +31,20 @@
  *
  * The identity key is a caller-supplied canonical text (the campaign
  * layer passes serve::canonicalWorkload(app, params), which renders
- * every WorkloadParams field). Keys are compared as full strings —
- * hashes only name disk files, and a loaded file whose embedded
- * identity text differs from the request is a counted stale reject,
- * never a silent wrong-trace replay.
+ * every WorkloadParams field). Keys are compared as full strings.
  *
- * Cache behavior mirrors serve::ResultCache: byte-capped in-memory
- * LRU, single-flight capture dedup, optional disk persistence with
- * atomic tmp+rename publish. Every outcome is counted. A trace larger
- * than the whole cap is handed to its caller but never admitted, so
- * it cannot flush the resident set.
+ * The cache is a byte-capped in-memory LRU with single-flight capture
+ * dedup. Every outcome is counted. A trace larger than the whole cap
+ * is handed to its caller but never admitted, so it cannot flush the
+ * resident set. Traces live in this process only: they are not
+ * persisted, because recapturing one on several host threads measured
+ * about twice as fast as loading it back from a file (DESIGN §19).
  *
  * Environment knobs (read once, at first globalReplayCache() use):
  *  - CCNUMA_REPLAY=0       disable replay entirely (always generate)
  *  - CCNUMA_REPLAY_BYTES=N in-memory cap in bytes (default 256 MiB;
  *                          a positive integer, anything else is
  *                          warned about and ignored)
- *  - CCNUMA_REPLAY_DIR=D   persist captured traces under D
  */
 
 #ifndef CCNUMA_WORKLOAD_REPLAY_HH
@@ -128,8 +125,6 @@ struct ReplayStats
 {
     std::uint64_t captures = 0;     ///< traces generated (compute ran)
     std::uint64_t hits = 0;         ///< served from memory
-    std::uint64_t diskHits = 0;     ///< served from the persist dir
-    std::uint64_t staleRejects = 0; ///< bad or mismatched disk file
     std::uint64_t dedupWaits = 0;   ///< waited on an in-flight capture
     std::uint64_t evictions = 0;    ///< LRU entries dropped at the cap
     std::uint64_t bytes = 0;        ///< current resident payload bytes
@@ -139,7 +134,7 @@ struct ReplayStats
     double
     hitRate() const
     {
-        std::uint64_t served = hits + diskHits + dedupWaits;
+        std::uint64_t served = hits + dedupWaits;
         std::uint64_t total = served + captures;
         return total ? static_cast<double>(served) /
                            static_cast<double>(total)
@@ -148,8 +143,8 @@ struct ReplayStats
 };
 
 /**
- * Byte-capped, single-flight, optionally persistent cache of captured
- * reference streams, keyed by canonical workload identity text.
+ * Byte-capped, single-flight, in-memory cache of captured reference
+ * streams, keyed by canonical workload identity text.
  */
 class ReplayCache
 {
@@ -157,11 +152,11 @@ class ReplayCache
     /**
      * @param byte_cap    resident ceiling; 0 disables the memory LRU
      *                    (captures still dedup while in flight).
-     * @param persist_dir disk write-through directory; "" disables
-     *                    persistence. Created on first store.
+     * @param persist_dir must be empty; anything else is fatal, so
+     *                    no caller believes its traces persist.
      */
     explicit ReplayCache(std::uint64_t byte_cap,
-                         std::string persist_dir = "");
+                         const std::string &persist_dir = "");
 
     ReplayCache(const ReplayCache &) = delete;
     ReplayCache &operator=(const ReplayCache &) = delete;
@@ -194,7 +189,7 @@ class ReplayCache
         std::mutex m;
         std::condition_variable cv;
         bool done = false;
-        /** Set once the owner starts capturing (not for a disk load). */
+        /** Set once the owner starts capturing. */
         std::shared_ptr<CaptureJob> job;
         /** The owner's failure, handed to every caller that waited. */
         std::exception_ptr error;
@@ -204,18 +199,9 @@ class ReplayCache
     void insertLocked(const std::string &identity,
                       std::shared_ptr<const ReplayBuffer> buf);
     void evictLocked();
-    std::string pathFor(const std::string &identity) const;
-    /**
-     * nullptr on miss; sets @p stale when a file exists but is not a
-     * well-formed v2 trace of @p identity.
-     */
-    std::shared_ptr<const ReplayBuffer>
-    loadFromDisk(const std::string &identity, bool &stale) const;
-    void storeToDisk(const ReplayBuffer &b) const;
 
     mutable std::mutex mutex_;
     std::uint64_t byteCap_;
-    std::string persistDir_;
     std::unordered_map<std::string, Entry> entries_;
     /** Identity texts, least-recently-used first. */
     std::list<std::string> lru_;

@@ -9,6 +9,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <string>
+
 #include "serve/campaign.hh"
 #include "serve/result_io.hh"
 #include "serve/session.hh"
@@ -122,6 +125,36 @@ TEST(CampaignExpand, TweaksApplyToTheConfig)
     EXPECT_EQ(points[0].cfg.node.cache.lineBytes, 32u);
     EXPECT_EQ(points[0].wp.lineBytes, 32u); // post-tweak line size
     EXPECT_EQ(points[0].cfg.net.flightLatency, 28u);
+}
+
+TEST(SimPoint, EnvOverridesReachTheKey)
+{
+    // Machine applies the CCNUMA_* overrides before it runs, so the
+    // cache key must be taken from the overridden configuration: a
+    // daemon started with CCNUMA_SHARDS=2 runs deferred-grant timing
+    // and must not file the result under undeferred serial.
+    for (const char *var : {"CCNUMA_RELIABLE", "CCNUMA_SHARDS"})
+        unsetenv(var);
+    auto key = [] {
+        return makeSimPoint("FFT", Arch::HWC, 16, 0.05).key().canonical;
+    };
+    const std::string plain = key();
+    for (const char *var : {"CCNUMA_RELIABLE", "CCNUMA_SHARDS"}) {
+        SCOPED_TRACE(var);
+        ASSERT_EQ(setenv(var, var == std::string("CCNUMA_SHARDS") ? "2"
+                                                                  : "1",
+                         1),
+                  0);
+        EXPECT_NE(key(), plain);
+        unsetenv(var);
+        EXPECT_EQ(key(), plain);
+    }
+    ASSERT_EQ(setenv("CCNUMA_SHARDS", "2", 1), 0);
+    SimPoint sharded = makeSimPoint("FFT", Arch::HWC, 16, 0.05);
+    unsetenv("CCNUMA_SHARDS");
+    EXPECT_EQ(sharded.cfg.shards, 2u);
+    EXPECT_NE(sharded.key().canonical.find("sync.deferredGrants=1"),
+              std::string::npos);
 }
 
 /**

@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <thread>
+
 #include "serve/json_in.hh"
 
 using namespace ccnuma::serve;
@@ -52,6 +55,37 @@ TEST(JsonIn, RejectsMalformedDocuments)
     // A valid value followed by trailing garbage is still an error.
     EXPECT_THROW(parseJson("{} x"), JsonError);
     EXPECT_THROW(parseJson("1 2"), JsonError);
+}
+
+TEST(JsonIn, RejectsDeepNesting)
+{
+    auto nest = [](unsigned depth, char open, const std::string &mid,
+                   char close) {
+        return std::string(depth, open) + mid + std::string(depth, close);
+    };
+    EXPECT_NO_THROW(parseJson(nest(maxJsonDepth, '[', "", ']')));
+    EXPECT_NO_THROW(
+        parseJson(nest(maxJsonDepth - 1, '[', "{\"a\": 1}", ']')));
+    EXPECT_THROW(parseJson(nest(maxJsonDepth + 1, '[', "", ']')),
+                 JsonError);
+    EXPECT_THROW(parseJson(nest(maxJsonDepth, '[', "{\"a\": 1}", ']')),
+                 JsonError);
+    // 100 KB of '[' fits under the daemon's body limit, and parsed
+    // without a depth cap on a std::thread, as the daemon parses
+    // request bodies, it overflows the stack. It must be a clean
+    // JsonError, and so must its unterminated prefix.
+    const std::string deep(100000, '[');
+    bool threw = false;
+    std::thread t([&] {
+        try {
+            parseJson(deep + std::string(deep.size(), ']'));
+        } catch (const JsonError &) {
+            threw = true;
+        }
+    });
+    t.join();
+    EXPECT_TRUE(threw);
+    EXPECT_THROW(parseJson(deep), JsonError);
 }
 
 TEST(JsonIn, TypedAccessorsEnforceTypes)

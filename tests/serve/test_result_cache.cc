@@ -2,15 +2,20 @@
  * @file
  * The content-addressed result cache: RunResult round-trip fidelity,
  * LRU eviction at the byte cap, single-flight dedup of concurrent
- * identical fetches, disk persistence across cache instances, and
- * the never-silent counters for all of it.
+ * identical fetches, disk persistence across cache instances with
+ * corrupted files never served, and the never-silent counters for
+ * all of it.
  */
+
+#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <random>
+#include <sstream>
 #include <thread>
 #include <vector>
 
@@ -309,6 +314,99 @@ TEST(ResultCache, PersistsAcrossInstances)
     });
     EXPECT_TRUE(recomputed);
     EXPECT_EQ(o2.source, ResultCache::Source::Computed);
+
+    fs::remove_all(dir);
+}
+
+TEST(ResultCache, CorruptedFilesAreNeverServed)
+{
+    // Seeded mutations of a persisted result: truncations, bit flips,
+    // digit changes (a changed digit inside "result" still parses and
+    // still matches the canonical text), and the file as written
+    // before it carried a digest. None may come back as a disk hit;
+    // each must be recomputed and the file rewritten.
+    namespace fs = std::filesystem;
+    const fs::path dir = fs::temp_directory_path() /
+                         ("ccnuma_cache_mutation_" +
+                          std::to_string(::getpid()));
+    fs::remove_all(dir);
+    const PointKey k = makeKey(7);
+    const RunResult truth = makeResult(7);
+    {
+        ResultCache cache(1 << 20, dir.string());
+        cache.fetch(k, [&] { return truth; });
+    }
+    fs::path file;
+    for (const auto &e : fs::directory_iterator(dir))
+        file = e.path();
+    ASSERT_FALSE(file.empty());
+    std::string pristine;
+    {
+        std::ifstream is(file, std::ios::binary);
+        std::ostringstream os;
+        os << is.rdbuf();
+        pristine = os.str();
+    }
+
+    std::mt19937_64 rng(17);
+    auto pick = [&rng](std::size_t n) {
+        return std::uniform_int_distribution<std::size_t>(0, n - 1)(rng);
+    };
+    std::vector<std::pair<std::string, std::string>> cases;
+    cases.emplace_back("drop the final newline",
+                       pristine.substr(0, pristine.size() - 1));
+    for (int i = 0; i < 16; ++i) {
+        std::size_t len = pick(pristine.size());
+        cases.emplace_back("truncate to " + std::to_string(len),
+                           pristine.substr(0, len));
+    }
+    for (int i = 0; i < 48; ++i) {
+        std::string b = pristine;
+        std::size_t bit = pick(8 * b.size());
+        b[bit / 8] = static_cast<char>(b[bit / 8] ^ (1 << (bit % 8)));
+        cases.emplace_back("flip bit " + std::to_string(bit), b);
+    }
+    std::vector<std::size_t> digits;
+    for (std::size_t i = 0; i < pristine.size(); ++i) {
+        if (pristine[i] >= '0' && pristine[i] <= '9')
+            digits.push_back(i);
+    }
+    ASSERT_FALSE(digits.empty());
+    for (int i = 0; i < 48; ++i) {
+        std::string b = pristine;
+        std::size_t at = digits[pick(digits.size())];
+        b[at] = static_cast<char>('0' + (b[at] - '0' + 1 + pick(9)) % 10);
+        cases.emplace_back("digit at " + std::to_string(at), b);
+    }
+    {
+        // The layout without a digest.
+        std::size_t from = pristine.find("\"digest\"");
+        ASSERT_NE(from, std::string::npos);
+        std::size_t to = pristine.find(',', from);
+        ASSERT_NE(to, std::string::npos);
+        std::string b = pristine;
+        b.erase(from, to + 1 - from);
+        cases.emplace_back("no digest", b);
+    }
+
+    for (const auto &[what, bytes] : cases) {
+        SCOPED_TRACE(what);
+        ASSERT_NE(bytes, pristine);
+        {
+            std::ofstream os(file, std::ios::binary | std::ios::trunc);
+            os << bytes;
+        }
+        ResultCache cold(1 << 20, dir.string());
+        auto o = cold.fetch(k, [&] { return truth; });
+        EXPECT_EQ(o.source, ResultCache::Source::Computed);
+        EXPECT_EQ(cold.stats().diskHits, 0u);
+        EXPECT_TRUE(resultsIdentical(o.result, truth));
+    }
+    // The last recompute rewrote a file that is served again.
+    ResultCache healed(1 << 20, dir.string());
+    auto o = healed.fetch(k, [&] { return truth; });
+    EXPECT_EQ(o.source, ResultCache::Source::Disk);
+    EXPECT_TRUE(resultsIdentical(o.result, truth));
 
     fs::remove_all(dir);
 }

@@ -147,6 +147,27 @@ TEST(Server, ErrorPaths)
     service.stop();
 }
 
+TEST(Server, DeeplyNestedSpecIs400AndServerKeepsServing)
+{
+    CampaignService service(testConfig());
+    service.start();
+    std::uint16_t port = service.port();
+
+    // 100 KB of nesting overflows the stack of a parser without a
+    // depth cap and takes the daemon down; it must be an ordinary
+    // invalid spec.
+    const std::string deep = "{\"apps\": " + std::string(100000, '[') +
+                             std::string(100000, ']') + "}";
+    EXPECT_EQ(httpRequest(port, "POST", "/campaigns", deep).status, 400);
+    EXPECT_EQ(service.admissionStats().rejectedInvalid, 1u);
+
+    std::string id = submitOk(port, kTinySpec);
+    JsonValue snap = awaitDone(port, id);
+    EXPECT_EQ(snap.getU64("completed", 0), 2u);
+
+    service.stop();
+}
+
 TEST(Server, BoundedQueueRejectsWith429)
 {
     CampaignService service(testConfig()); // maxQueued = 2

@@ -6,30 +6,20 @@
  * when driven through a whole Machine (including under seeded fault
  * injection, which perturbs timing but must never change which ops a
  * processor issues). A capture split across host threads must equal
- * the single-threaded one, in memory and on disk, and streams must
- * replay exactly across chunk boundaries. The cache plumbing is
- * covered too: single-flight capture dedup with callers joining the
- * capture, a worker's failure reaching every caller, LRU eviction at
- * the byte cap, an oversize trace kept
- * out of the cache, disk persistence with a fresh process's cold
- * cache served from disk, and stale disk files (identity-text
- * mismatch, seeded corruption, the version 1 format) rejected and
- * regenerated instead of silently replayed.
+ * the single-threaded one, and streams must replay exactly across
+ * chunk boundaries. The cache plumbing is covered too: single-flight
+ * capture dedup with callers joining the capture, a worker's failure
+ * reaching every caller, LRU eviction at the byte cap, an oversize
+ * trace kept out of the cache, and a persist directory refused.
  */
 
 #include <gtest/gtest.h>
-
-#include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
-#include <filesystem>
-#include <fstream>
 #include <latch>
-#include <random>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -95,30 +85,6 @@ sameOp(const ThreadOp &a, const ThreadOp &b)
     return a.kind == b.kind && a.addr == b.addr && a.count == b.count;
 }
 
-/** RAII temporary directory for the persistence tests. */
-struct TempDir
-{
-    std::filesystem::path path;
-
-    TempDir()
-    {
-        path = std::filesystem::temp_directory_path() /
-               ("ccnuma_replay_test_" +
-                std::to_string(::getpid()) + "_" +
-                std::to_string(counter()++));
-        std::filesystem::create_directories(path);
-    }
-
-    ~TempDir() { std::filesystem::remove_all(path); }
-
-    static unsigned &
-    counter()
-    {
-        static unsigned n = 0;
-        return n;
-    }
-};
-
 /**
  * @p inner with its streams declared dependent, so capture drains
  * them one after another in thread order on the calling thread: the
@@ -134,15 +100,6 @@ struct SerialStreams : Workload
     OpStream thread(unsigned tid) override { return inner->thread(tid); }
     bool independentStreams() const override { return false; }
 };
-
-std::string
-readFile(const std::filesystem::path &f)
-{
-    std::ifstream is(f, std::ios::binary);
-    std::ostringstream os;
-    os << is.rdbuf();
-    return os.str();
-}
 
 class ReplayKernels : public ::testing::TestWithParam<std::string>
 {
@@ -441,79 +398,33 @@ TEST(Replay, StreamsAroundChunkBoundariesReplayExactly)
     }
     const WorkloadParams p =
         tinyParams(static_cast<unsigned>(scripts.size()));
-    TempDir dir;
-    ReplayCache warm(64 << 20, dir.path.string());
-    auto buf = warm.acquire("chunks", [&] {
+    ReplayCache cache(64 << 20);
+    auto buf = cache.acquire("chunks", [&] {
         return std::make_unique<ScriptWorkload>(p, scripts);
     });
-    ReplayCache cold(64 << 20, dir.path.string());
-    auto loaded = cold.acquire("chunks", [&] {
-        return std::make_unique<ScriptWorkload>(p, scripts);
-    });
-    EXPECT_EQ(cold.stats().diskHits, 1u);
 
-    for (const auto &b : {buf, loaded}) {
-        ReplayWorkload replayed(std::make_unique<ScriptWorkload>(p, scripts),
-                                b);
-        for (unsigned t = 0; t < scripts.size(); ++t) {
-            SCOPED_TRACE("stream of " + std::to_string(sizes[t]));
-            EXPECT_EQ(b->threads[t].size(), sizes[t]);
-            EXPECT_EQ(b->threads[t].numChunks(),
-                      (sizes[t] + replayChunkOps - 1) / replayChunkOps);
-            // Move the stream half way through: a replay cursor must
-            // carry its chunk position with it.
-            OpStream s = replayed.thread(t);
-            std::vector<ThreadOp> got;
-            ThreadOp op;
-            for (std::size_t i = 0; i < sizes[t] / 2 && s.next(op); ++i)
-                got.push_back(op);
-            OpStream moved = std::move(s);
-            EXPECT_FALSE(s.next(op));
-            while (moved.next(op))
-                got.push_back(op);
-            EXPECT_FALSE(moved.next(op));
-            ASSERT_EQ(got.size(), scripts[t].size());
-            for (std::size_t i = 0; i < got.size(); ++i)
-                ASSERT_TRUE(sameOp(got[i], scripts[t][i])) << "op " << i;
-        }
-    }
-}
-
-TEST(Replay, SplitCaptureWritesTheSerialCapturesFile)
-{
-    // The same identity captured split and serially must persist the
-    // same bytes, and the split capture's file must load.
-    const WorkloadParams p = tinyParams(16, 0.1);
-    for (const std::string app : {"LU", "Radix", "Barnes"}) {
-        SCOPED_TRACE(app);
-        const std::string id = identityOf(app, p);
-        TempDir split, serial;
-        {
-            ReplayCache a(64 << 20, split.path.string());
-            a.acquire(id, [&] { return makeWorkload(app, p); });
-            ReplayCache b(64 << 20, serial.path.string());
-            b.acquire(id, [&]() -> std::unique_ptr<Workload> {
-                return std::make_unique<SerialStreams>(
-                    makeWorkload(app, p));
-            });
-        }
-        auto only = [](const TempDir &d) {
-            std::filesystem::path f;
-            for (const auto &e :
-                 std::filesystem::directory_iterator(d.path))
-                f = e.path();
-            return f;
-        };
-        const std::filesystem::path fs = only(split), fr = only(serial);
-        ASSERT_FALSE(fs.empty());
-        EXPECT_EQ(fs.filename(), fr.filename());
-        EXPECT_TRUE(readFile(fs) == readFile(fr));
-
-        ReplayCache cold(64 << 20, split.path.string());
-        auto loaded = cold.acquire(id, [&] { return makeWorkload(app, p); });
-        EXPECT_EQ(cold.stats().diskHits, 1u);
-        auto fresh = makeWorkload(app, p);
-        EXPECT_TRUE(loaded->threads == captureWorkload(*fresh, id)->threads);
+    ReplayWorkload replayed(std::make_unique<ScriptWorkload>(p, scripts),
+                            buf);
+    for (unsigned t = 0; t < scripts.size(); ++t) {
+        SCOPED_TRACE("stream of " + std::to_string(sizes[t]));
+        EXPECT_EQ(buf->threads[t].size(), sizes[t]);
+        EXPECT_EQ(buf->threads[t].numChunks(),
+                  (sizes[t] + replayChunkOps - 1) / replayChunkOps);
+        // Move the stream half way through: a replay cursor must
+        // carry its chunk position with it.
+        OpStream s = replayed.thread(t);
+        std::vector<ThreadOp> got;
+        ThreadOp op;
+        for (std::size_t i = 0; i < sizes[t] / 2 && s.next(op); ++i)
+            got.push_back(op);
+        OpStream moved = std::move(s);
+        EXPECT_FALSE(s.next(op));
+        while (moved.next(op))
+            got.push_back(op);
+        EXPECT_FALSE(moved.next(op));
+        ASSERT_EQ(got.size(), scripts[t].size());
+        for (std::size_t i = 0; i < got.size(); ++i)
+            ASSERT_TRUE(sameOp(got[i], scripts[t][i])) << "op " << i;
     }
 }
 
@@ -571,254 +482,6 @@ TEST(Replay, OversizeTraceLeavesResidentSetAlone)
     EXPECT_EQ(st.captures, 2u);
 }
 
-TEST(Replay, DiskPersistServesColdCache)
-{
-    TempDir dir;
-    const WorkloadParams p = tinyParams();
-    const std::string id = identityOf("Cholesky", p);
-    auto make = [&] { return makeWorkload("Cholesky", p); };
-
-    ReplayCache warm(64 << 20, dir.path.string());
-    auto captured = warm.acquire(id, make);
-    EXPECT_EQ(warm.stats().captures, 1u);
-    ASSERT_FALSE(
-        std::filesystem::is_empty(dir.path));
-
-    // A new cache (fresh process, in spirit) must serve the identity
-    // from disk without running the generator.
-    ReplayCache cold(64 << 20, dir.path.string());
-    auto loaded = cold.acquire(id, make);
-    EXPECT_EQ(cold.stats().captures, 0u);
-    EXPECT_EQ(cold.stats().diskHits, 1u);
-    ASSERT_EQ(loaded->threads.size(), captured->threads.size());
-    for (std::size_t t = 0; t < loaded->threads.size(); ++t) {
-        ASSERT_EQ(loaded->threads[t].size(),
-                  captured->threads[t].size());
-        for (std::size_t i = 0; i < loaded->threads[t].size(); ++i) {
-            ASSERT_EQ(loaded->threads[t][i], captured->threads[t][i])
-                << "thread " << t << " op " << i;
-        }
-    }
-    EXPECT_EQ(loaded->identity, id);
-}
-
-TEST(Replay, StaleDiskFileRejectedAndRegenerated)
-{
-    // Hashes only *name* disk files; the identity text stored inside
-    // is what gets trusted. Cross-wire two identities' files so the
-    // requested name holds the wrong trace: the load must be counted
-    // as a stale reject and the trace regenerated, never replayed.
-    TempDir dirA, dirB;
-    const WorkloadParams p = tinyParams();
-    const std::string idA = identityOf("FFT", p);
-    const std::string idB = identityOf("Barnes", p);
-
-    {
-        ReplayCache a(64 << 20, dirA.path.string());
-        a.acquire(idA, [&] { return makeWorkload("FFT", p); });
-        ReplayCache b(64 << 20, dirB.path.string());
-        b.acquire(idB, [&] { return makeWorkload("Barnes", p); });
-    }
-    std::filesystem::path fileA, fileB;
-    for (const auto &e :
-         std::filesystem::directory_iterator(dirA.path))
-        fileA = e.path();
-    for (const auto &e :
-         std::filesystem::directory_iterator(dirB.path))
-        fileB = e.path();
-    ASSERT_FALSE(fileA.empty());
-    ASSERT_FALSE(fileB.empty());
-    // idB's file name now holds idA's payload.
-    std::filesystem::copy_file(
-        fileA, fileB,
-        std::filesystem::copy_options::overwrite_existing);
-
-    ReplayCache victim(64 << 20, dirB.path.string());
-    auto buf = victim.acquire(
-        idB, [&] { return makeWorkload("Barnes", p); });
-    EXPECT_EQ(victim.stats().staleRejects, 1u);
-    EXPECT_EQ(victim.stats().diskHits, 0u);
-    EXPECT_EQ(victim.stats().captures, 1u);
-    EXPECT_EQ(buf->identity, idB);
-
-    // Regeneration also rewrote the stale file: a fresh cache now
-    // loads the *correct* trace from disk.
-    ReplayCache healed(64 << 20, dirB.path.string());
-    healed.acquire(idB, [&] { return makeWorkload("Barnes", p); });
-    EXPECT_EQ(healed.stats().diskHits, 1u);
-    EXPECT_EQ(healed.stats().staleRejects, 0u);
-}
-
-TEST(Replay, TruncatedDiskFileIsIgnored)
-{
-    TempDir dir;
-    const WorkloadParams p = tinyParams();
-    const std::string id = identityOf("Ocean", p);
-    {
-        ReplayCache warm(64 << 20, dir.path.string());
-        warm.acquire(id, [&] { return makeWorkload("Ocean", p); });
-    }
-    std::filesystem::path file;
-    for (const auto &e :
-         std::filesystem::directory_iterator(dir.path))
-        file = e.path();
-    ASSERT_FALSE(file.empty());
-    std::filesystem::resize_file(file, 12);
-
-    ReplayCache cold(64 << 20, dir.path.string());
-    auto buf = cold.acquire(
-        id, [&] { return makeWorkload("Ocean", p); });
-    EXPECT_EQ(cold.stats().diskHits, 0u);
-    EXPECT_EQ(cold.stats().captures, 1u);
-    EXPECT_GT(buf->ops(), 0u);
-}
-
-void
-writeFile(const std::filesystem::path &f, const std::string &bytes)
-{
-    std::ofstream os(f, std::ios::binary | std::ios::trunc);
-    os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-}
-
-void
-putU64(std::string &bytes, std::size_t at, std::uint64_t v)
-{
-    std::memcpy(bytes.data() + at, &v, sizeof(v));
-}
-
-std::uint64_t
-getU64(const std::string &bytes, std::size_t at)
-{
-    std::uint64_t v;
-    std::memcpy(&v, bytes.data() + at, sizeof(v));
-    return v;
-}
-
-/** @p b in the version 1 layout: 24-byte ThreadOp records. */
-std::string
-versionOneFile(const ReplayBuffer &b)
-{
-    std::string out("CCNREPL1", 8);
-    auto u64 = [&out](std::uint64_t v) {
-        out.append(reinterpret_cast<const char *>(&v), sizeof(v));
-    };
-    u64(b.identity.size());
-    out += b.identity;
-    u64(b.threads.size());
-    for (const auto &t : b.threads)
-        u64(t.size());
-    for (const auto &t : b.threads) {
-        for (PackedOp p : t) {
-            ThreadOp op = unpackOp(p);
-            out.append(reinterpret_cast<const char *>(&op), sizeof(op));
-        }
-    }
-    return out;
-}
-
-TEST(Replay, CorruptDiskFilesAreRejectedNeverReplayed)
-{
-    // Seeded mutations of a persisted trace: truncations, bit flips
-    // anywhere (counts and ops included), huge counts and thread
-    // numbers, an op of no known kind, and a version 1 file. Every
-    // one must be a counted stale reject followed by a recapture that
-    // returns the true trace: never a crash, a wrong replay, or an
-    // allocation sized by a corrupt count.
-    TempDir dir;
-    const WorkloadParams p = tinyParams();
-    const std::string id = identityOf("FFT", p);
-    auto make = [&] { return makeWorkload("FFT", p); };
-    std::shared_ptr<const ReplayBuffer> truth;
-    {
-        ReplayCache warm(64 << 20, dir.path.string());
-        truth = warm.acquire(id, make);
-    }
-    std::filesystem::path file;
-    for (const auto &e : std::filesystem::directory_iterator(dir.path))
-        file = e.path();
-    ASSERT_FALSE(file.empty());
-    const std::string pristine = readFile(file);
-
-    // Offsets in the version 2 layout.
-    const std::size_t threadsAt = 16 + id.size();
-    const std::size_t countsAt = threadsAt + 8;
-    const std::size_t opsAt = countsAt + 8 * truth->threads.size();
-    ASSERT_EQ(pristine.size(), opsAt + truth->bytes() + 8);
-    ASSERT_EQ(getU64(pristine, threadsAt), truth->threads.size());
-
-    std::mt19937_64 rng(14);
-    auto pick = [&rng](std::size_t lo, std::size_t hi) {
-        return std::uniform_int_distribution<std::size_t>(lo, hi - 1)(
-            rng);
-    };
-    std::vector<std::pair<std::string, std::string>> cases;
-    auto flipBit = [&](const char *what, std::size_t lo,
-                       std::size_t hi) {
-        std::string b = pristine;
-        std::size_t bit = pick(lo * 8, hi * 8);
-        b[bit / 8] = static_cast<char>(b[bit / 8] ^ (1 << (bit % 8)));
-        cases.emplace_back(what + std::to_string(bit), b);
-    };
-    for (int i = 0; i < 12; ++i) {
-        std::size_t len = pick(0, pristine.size());
-        cases.emplace_back("truncate to " + std::to_string(len),
-                           pristine.substr(0, len));
-    }
-    for (int i = 0; i < 12; ++i)
-        flipBit("flip count bit ", countsAt, opsAt);
-    for (int i = 0; i < 24; ++i)
-        flipBit("flip op bit ", opsAt, pristine.size() - 8);
-    for (int i = 0; i < 12; ++i)
-        flipBit("flip any bit ", 0, pristine.size());
-    const std::uint64_t hugeValues[] = {
-        ~0ull, 1ull << 61, 1ull << 40, getU64(pristine, countsAt) + 1};
-    for (std::uint64_t huge : hugeValues) {
-        std::string b = pristine;
-        putU64(b, countsAt, huge);
-        cases.emplace_back("count " + std::to_string(huge), b);
-        b = pristine;
-        putU64(b, threadsAt, huge);
-        cases.emplace_back("threads " + std::to_string(huge), b);
-    }
-    {
-        // Move one op from thread 0's count to thread 1's: the sizes
-        // still add up, so only the checksum can tell.
-        std::string b = pristine;
-        putU64(b, countsAt, getU64(b, countsAt) - 1);
-        putU64(b, countsAt + 8, getU64(b, countsAt + 8) + 1);
-        cases.emplace_back("shifted counts", b);
-        // Two counts each 2^63 too large: their sum wraps back to the
-        // true total, so only a per-count bound stops the allocation.
-        b = pristine;
-        putU64(b, countsAt, getU64(b, countsAt) + (1ull << 63));
-        putU64(b, countsAt + 8, getU64(b, countsAt + 8) + (1ull << 63));
-        cases.emplace_back("wrapping counts", b);
-        b = pristine;
-        putU64(b, opsAt, getU64(b, opsAt) | (7ull << packedKindShift));
-        cases.emplace_back("op kind 7", b);
-        b = pristine + std::string(8, '\0');
-        cases.emplace_back("trailing word", b);
-    }
-    cases.emplace_back("version 1", versionOneFile(*truth));
-
-    for (const auto &[what, bytes] : cases) {
-        SCOPED_TRACE(what);
-        writeFile(file, bytes);
-        ReplayCache cold(64 << 20, dir.path.string());
-        auto got = cold.acquire(id, make);
-        ReplayStats st = cold.stats();
-        EXPECT_EQ(st.staleRejects, 1u);
-        EXPECT_EQ(st.diskHits, 0u);
-        EXPECT_EQ(st.captures, 1u);
-        ASSERT_NE(got, nullptr);
-        EXPECT_TRUE(got->threads == truth->threads);
-    }
-    // The last recapture rewrote a well-formed file.
-    ReplayCache healed(64 << 20, dir.path.string());
-    EXPECT_TRUE(healed.acquire(id, make)->threads == truth->threads);
-    EXPECT_EQ(healed.stats().diskHits, 1u);
-}
-
 TEST(Replay, CaptureRefusesOpsThatDoNotPack)
 {
     // A replayed stream must equal the generated one field for field,
@@ -850,6 +513,14 @@ TEST(Replay, CaptureRefusesOpsThatDoNotPack)
     auto buf = captureWorkload(w, "top");
     ASSERT_EQ(buf->ops(), 1u);
     EXPECT_TRUE(sameOp(unpackOp(buf->threads[0][0]), top));
+}
+
+TEST(Replay, CacheRefusesAPersistDirectory)
+{
+    // Traces live in memory only. A caller that still names a
+    // directory would believe its traces persist, so that is fatal.
+    EXPECT_NO_THROW(ReplayCache(1 << 20, ""));
+    EXPECT_THROW(ReplayCache(1 << 20, "replay-traces"), FatalError);
 }
 
 TEST(Replay, BytesEnvTakesPositiveIntegersOnly)

@@ -63,20 +63,11 @@ rejection column must be present (bounded admission is counted,
 never silent). The summary line echoes cache-hit-rate and
 dedup-factor so CI logs track the serving efficiency run-over-run.
 
-A sixth invariant gates the trace-replay fast path: pass
---replay-served BENCH_<any>.json and the bench's "workload replay
-cache" table must show zero captures and at least one (memory or
-disk) hit — i.e. the run was entirely replay-served. CI runs the
-fig6 base sweep twice against one CCNUMA_REPLAY_DIR and gates the
-second run's export, proving persisted traces actually serve a fresh
-process.
-
 Usage: bench_gate.py [BASELINE.json FRESH.json] [--threshold 0.20]
                      [--sharded BENCH_fig6_sharded.json]
                      [--min-speedup 1.5]
                      [--min-speedup-adaptive 0]
                      [--max-adaptive-regression 0.20]
-                     [--replay-served BENCH_fig6_base.json]
                      [--recovery BENCH_crash_campaign.json]
                      [--max-rebuild-ticks 50000]
                      [--integrity BENCH_corruption_campaign.json]
@@ -361,47 +352,6 @@ def check_served(path, min_dedup, failures):
           f"cache-hit-rate {hit}, dedup-factor {dedup}")
 
 
-def replay_summary(path):
-    """Metric->value map of the 'workload replay cache' table, or
-    None when the bench export doesn't carry one."""
-    data = load_json(path)
-    for table in data.get("tables", []):
-        if "replay cache" not in table.get("title", "").lower():
-            continue
-        return {row.get("metric"): row.get("value")
-                for row in table.get("rows", [])}
-    return None
-
-
-def check_replay_served(path, failures):
-    summary = replay_summary(path)
-    if summary is None:
-        failures.append(
-            f"{path}: no 'workload replay cache' table (every bench "
-            "export must carry the replay counters)")
-        return
-    if "disabled" in summary:
-        failures.append(
-            f"{path}: replay cache was disabled (CCNUMA_REPLAY=0); "
-            "cannot assert a replay-served run")
-        return
-    captures = int(summary.get("captures", -1))
-    hits = int(summary.get("hits", 0))
-    disk_hits = int(summary.get("disk hits", 0))
-    stale = int(summary.get("stale rejects", 0))
-    print(f"\nreplay-served: captures {captures}, hits {hits}, "
-          f"disk hits {disk_hits}, stale rejects {stale} "
-          "(require captures == 0 and disk hits >= 1)")
-    if captures != 0:
-        failures.append(
-            f"replay-served run still captured {captures} trace(s); "
-            "the persisted traces did not serve it")
-    if disk_hits < 1:
-        failures.append(
-            "replay-served run loaded no trace from disk; the "
-            "persist dir is not being consulted")
-
-
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("baseline", nargs="?")
@@ -420,9 +370,6 @@ def main():
                     default=0.20,
                     help="max fractional wall-clock cost of adaptive "
                          "windows over conservative")
-    ap.add_argument("--replay-served", metavar="JSON",
-                    help="bench export that must have been entirely "
-                         "served from persisted replay traces")
     ap.add_argument("--recovery", metavar="JSON",
                     help="BENCH_crash_campaign.json to gate on")
     ap.add_argument("--max-rebuild-ticks", type=int, default=50000,
@@ -439,11 +386,9 @@ def main():
     if bool(args.baseline) != bool(args.fresh):
         ap.error("BASELINE and FRESH must be given together")
     if (not args.baseline and not args.sharded and not args.recovery
-            and not args.integrity and not args.served
-            and not args.replay_served):
+            and not args.integrity and not args.served):
         ap.error("nothing to gate: give BASELINE FRESH, --sharded, "
-                 "--recovery, --integrity, --served, or "
-                 "--replay-served")
+                 "--recovery, --integrity, or --served")
 
     failures = []
     if args.baseline:
@@ -503,9 +448,6 @@ def main():
         check_sharded(args.sharded, args.min_speedup,
                       args.min_speedup_adaptive,
                       args.max_adaptive_regression, failures)
-
-    if args.replay_served:
-        check_replay_served(args.replay_served, failures)
 
     if args.recovery:
         check_recovery(args.recovery, args.max_rebuild_ticks,

@@ -54,8 +54,7 @@ class UnreadableInput(unittest.TestCase):
 
     def test_every_table_input_is_guarded(self):
         bad = self.path("bad.json", "not json")
-        for flag in ("--sharded", "--recovery", "--integrity", "--served",
-                     "--replay-served"):
+        for flag in ("--sharded", "--recovery", "--integrity", "--served"):
             with self.subTest(flag=flag):
                 self.assert_cannot_read(run_gate(flag, bad), bad)
 
