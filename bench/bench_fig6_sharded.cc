@@ -1,32 +1,31 @@
 /**
  * @file
  * Sharded-scheduler speedup on the Figure 6 sweep: every point of the
- * base-configuration grid is run three times — serial (shards=1, with
- * the sharded grant timing forced so it stays the bit-identity
- * oracle), sharded with conservative lock-step windows, and sharded
- * with adaptive windows — with the wall clock of each timed and all
- * three results required to be bit-identical (same retired
- * instructions and execution ticks).
+ * base-configuration grid is run twice — serial (shards=1, with the
+ * sharded grant timing forced so it stays the bit-identity oracle)
+ * and sharded — with the wall clock of each timed and both results
+ * required to be bit-identical (same retired instructions and
+ * execution ticks).
  *
  * The speedup rows feed tools/bench_gate.py --sharded, which enforces
- * the minimum sharded speedup and the adaptive-vs-conservative
- * ablation bound on CI; on hosts with fewer hardware threads than
- * shards the bench still proves identity but records the thread
- * count so the gate can skip the (meaningless) timing checks.
+ * the minimum sharded speedup on CI; on hosts with fewer hardware
+ * threads than shards the bench still proves identity but records
+ * the thread count so the gate can skip the (meaningless) timing
+ * checks.
  *
  * The adaptive planner's behavior is exported in full: windows run,
- * windows widened past the conservative end, floor fallbacks, and
+ * windows widened past the lock-step end, fallbacks to it, and
  * sync-induced window stops are summed into the summary table — the
- * gate refuses a run where the counters are missing, so the policy
- * can never silently degrade into always-conservative.
+ * gate refuses a run where the counters are missing, so the planner
+ * can never silently degrade into always-lock-step.
  *
  * Each application's reference trace is pre-captured into the replay
  * cache before its first timed run, so one-time trace generation
  * never pollutes the serial-vs-sharded comparison.
  *
  * Unlike the other benches this one ignores --jobs: points run one at
- * a time so each Machine gets the whole host and the per-policy wall
- * clocks are comparable.
+ * a time so each Machine gets the whole host and the serial and
+ * sharded wall clocks are comparable.
  */
 
 #include <chrono>
@@ -50,15 +49,13 @@ struct TimedRun
 
 TimedRun
 timedRun(const std::string &app, Arch arch, const Options &o,
-         WindowPolicy wp, bool force_defer = false)
+         bool force_defer = false)
 {
     auto t0 = std::chrono::steady_clock::now();
     TimedRun t;
-    t.result =
-        runApp(app, arch, o, 1.0, [wp, force_defer](MachineConfig &cfg) {
-            cfg.windowPolicy = wp;
-            cfg.forceSyncDefer = force_defer;
-        });
+    t.result = runApp(app, arch, o, 1.0, [force_defer](MachineConfig &cfg) {
+        cfg.forceSyncDefer = force_defer;
+    });
     t.ms = std::chrono::duration<double, std::milli>(
                std::chrono::steady_clock::now() - t0)
                .count();
@@ -88,17 +85,16 @@ run(int argc, char **argv)
     serial_o.shards = 1;
 
     bench::printHeader(
-        report::fmt("Figure 6 sweep, serial vs %u-sharded scheduler "
-                    "(conservative and adaptive windows)",
+        report::fmt("Figure 6 sweep, serial vs %u-sharded scheduler",
                     o.shards),
         o);
     std::cout << "hardware threads: " << hw << "\n";
     bench::JsonReport session("fig6_sharded", o);
 
-    report::Table t({"application", "arch", "serial ms", "cons ms",
-                     "adaptive ms", "speedup", "shards used",
-                     "windows", "widened", "fallbacks"});
-    double serial_total = 0.0, cons_total = 0.0, adapt_total = 0.0;
+    report::Table t({"application", "arch", "serial ms", "sharded ms",
+                     "speedup", "shards used", "windows", "widened",
+                     "fallbacks"});
+    double serial_total = 0.0, sharded_total = 0.0;
     unsigned points = 0, identical = 0, sharded_points = 0;
     std::uint64_t windows_run = 0, windows_widened = 0;
     std::uint64_t window_fallbacks = 0, sync_window_stops = 0;
@@ -110,60 +106,49 @@ run(int argc, char **argv)
         for (Arch arch : allArchs) {
             // The serial oracle forces the deferred grant path so
             // serial and sharded runs share one timing model.
-            TimedRun s = timedRun(app, arch, serial_o,
-                                  WindowPolicy::Conservative, true);
-            TimedRun c =
-                timedRun(app, arch, o, WindowPolicy::Conservative);
-            TimedRun a =
-                timedRun(app, arch, o, WindowPolicy::Adaptive);
+            TimedRun s = timedRun(app, arch, serial_o, true);
+            TimedRun sh = timedRun(app, arch, o);
             ++points;
             serial_total += s.ms;
-            cons_total += c.ms;
-            adapt_total += a.ms;
+            sharded_total += sh.ms;
             bool same =
-                s.result.instructions == c.result.instructions &&
-                s.result.execTicks == c.result.execTicks &&
-                s.result.instructions == a.result.instructions &&
-                s.result.execTicks == a.result.execTicks;
+                s.result.instructions == sh.result.instructions &&
+                s.result.execTicks == sh.result.execTicks;
             if (same)
                 ++identical;
-            if (a.result.shardsUsed > 1)
+            if (sh.result.shardsUsed > 1)
                 ++sharded_points;
-            windows_run += a.result.windowsRun;
-            windows_widened += a.result.windowsWidened;
-            window_fallbacks += a.result.windowFallbacks;
-            sync_window_stops += a.result.syncWindowStops;
+            windows_run += sh.result.windowsRun;
+            windows_widened += sh.result.windowsWidened;
+            window_fallbacks += sh.result.windowFallbacks;
+            sync_window_stops += sh.result.syncWindowStops;
             t.addRow({app, std::string(archName(arch)),
                       report::fmt("%.1f", s.ms),
-                      report::fmt("%.1f", c.ms),
-                      report::fmt("%.1f", a.ms),
+                      report::fmt("%.1f", sh.ms),
                       report::fmt("%.2f",
-                                  s.ms / std::max(a.ms, 1e-9)),
-                      report::fmt("%u", a.result.shardsUsed),
+                                  s.ms / std::max(sh.ms, 1e-9)),
+                      report::fmt("%u", sh.result.shardsUsed),
                       report::fmt("%llu", (unsigned long long)
-                                              a.result.windowsRun),
+                                              sh.result.windowsRun),
                       report::fmt("%llu",
                                   (unsigned long long)
-                                      a.result.windowsWidened),
+                                      sh.result.windowsWidened),
                       report::fmt("%llu",
                                   (unsigned long long)
-                                      a.result.windowFallbacks)});
+                                      sh.result.windowFallbacks)});
             if (!same) {
                 std::fprintf(
                     stderr,
                     "FAIL: %s/%s diverged: serial %llu insn / %llu "
-                    "ticks, conservative %llu / %llu, adaptive "
-                    "%llu / %llu (%s)\n",
+                    "ticks, sharded %llu / %llu (%s)\n",
                     app.c_str(), archName(arch),
                     (unsigned long long)s.result.instructions,
                     (unsigned long long)s.result.execTicks,
-                    (unsigned long long)c.result.instructions,
-                    (unsigned long long)c.result.execTicks,
-                    (unsigned long long)a.result.instructions,
-                    (unsigned long long)a.result.execTicks,
-                    a.result.shardFallback.empty()
+                    (unsigned long long)sh.result.instructions,
+                    (unsigned long long)sh.result.execTicks,
+                    sh.result.shardFallback.empty()
                         ? "no fallback"
-                        : a.result.shardFallback.c_str());
+                        : sh.result.shardFallback.c_str());
             }
             std::cout << "  finished " << app << "/" << archName(arch)
                       << "\n"
@@ -171,9 +156,7 @@ run(int argc, char **argv)
         }
     }
 
-    double speedup = serial_total / std::max(adapt_total, 1e-9);
-    double cons_speedup = serial_total / std::max(cons_total, 1e-9);
-    double ablation = adapt_total / std::max(cons_total, 1e-9);
+    double speedup = serial_total / std::max(sharded_total, 1e-9);
     report::Table summary({"metric", "value"});
     summary.addRow({"shards requested", report::fmt("%u", o.shards)});
     summary.addRow({"hardware threads", report::fmt("%u", hw)});
@@ -186,14 +169,8 @@ run(int argc, char **argv)
     summary.addRow(
         {"serial total ms", report::fmt("%.1f", serial_total)});
     summary.addRow(
-        {"conservative total ms", report::fmt("%.1f", cons_total)});
-    summary.addRow(
-        {"sharded total ms", report::fmt("%.1f", adapt_total)});
+        {"sharded total ms", report::fmt("%.1f", sharded_total)});
     summary.addRow({"overall speedup", report::fmt("%.3f", speedup)});
-    summary.addRow(
-        {"conservative speedup", report::fmt("%.3f", cons_speedup)});
-    summary.addRow({"adaptive vs conservative wall",
-                    report::fmt("%.3f", ablation)});
     summary.addRow({"windows run",
                     report::fmt("%llu",
                                 (unsigned long long)windows_run)});

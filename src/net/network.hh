@@ -71,25 +71,15 @@ class NetworkTap
 
     /**
      * Called for every message once its natural delivery tick is
-     * known. @p delivered may be moved later (never earlier than the
-     * current tick); setting @p duplicate_at nonzero schedules a
-     * second delivery of the same message at that tick.
+     * known. @p delivered may be moved later, never earlier: the
+     * sharded lookahead window assumes no message arrives sooner
+     * than Network::minLatency() after its send. Setting
+     * @p duplicate_at nonzero schedules a second delivery of the same
+     * message at that tick.
      * @return false to drop the message entirely.
      */
     virtual bool onDelivery(NodeId src, NodeId dst, Tick &delivered,
                             Tick &duplicate_at) = 0;
-
-    /**
-     * Lower bound (possibly negative) on the adjustment this tap may
-     * apply to a delivery tick, in ticks. The sharded scheduler
-     * shrinks its conservative lookahead window by any negative
-     * amount reported here; a tap that only ever delays deliveries
-     * returns 0 and leaves the window at the full network minimum.
-     * Returning an unsound (too large) value breaks conservatism
-     * silently — this is the contract that keeps fault injection and
-     * sharding composable.
-     */
-    virtual long long minExtraDelay() const { return 0; }
 };
 
 /**
@@ -116,9 +106,8 @@ class Network
     /**
      * Earliest possible gap, in ticks, between a send and its
      * arrival event firing at the destination: one egress port cycle
-     * plus the switch flight plus one ingress port cycle. This (plus
-     * the tap's minExtraDelay, if negative) is the network's
-     * contribution to the conservative lookahead window.
+     * plus the switch flight plus one ingress port cycle. This is the
+     * network's contribution to the sharded lookahead window.
      */
     Tick
     minLatency() const

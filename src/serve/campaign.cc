@@ -1,6 +1,7 @@
 #include "serve/campaign.hh"
 
 #include <algorithm>
+#include <limits>
 
 namespace ccnuma
 {
@@ -9,6 +10,20 @@ namespace serve
 
 namespace
 {
+
+/**
+ * The unsigned spec field @p key, or @p def when absent; a value that
+ * does not fit in unsigned is rejected rather than narrowed.
+ */
+unsigned
+getUnsigned(const JsonValue &doc, const char *key, unsigned def)
+{
+    const std::uint64_t v = doc.getU64(key, def);
+    if (v > std::numeric_limits<unsigned>::max())
+        throw CampaignError(std::string("\"") + key +
+                            "\" is out of range");
+    return static_cast<unsigned>(v);
+}
 
 const std::vector<std::string> &
 knownApps()
@@ -72,8 +87,7 @@ parseCampaignSpec(const JsonValue &doc)
         if (s.scale <= 0.0 || s.scale > 4.0)
             throw CampaignError(
                 "\"scale\" must be in (0, 4]");
-        s.procs =
-            static_cast<unsigned>(doc.getU64("procs", s.procs));
+        s.procs = getUnsigned(doc, "procs", s.procs);
         if (s.procs == 0 || s.procs > 1024)
             throw CampaignError("\"procs\" must be in [1, 1024]");
 
@@ -90,20 +104,17 @@ parseCampaignSpec(const JsonValue &doc)
         s.dataFactor = doc.getDouble("dataFactor", s.dataFactor);
         if (s.dataFactor <= 0.0)
             throw CampaignError("\"dataFactor\" must be positive");
-        s.lineBytes = static_cast<unsigned>(
-            doc.getU64("lineBytes", s.lineBytes));
+        s.lineBytes = getUnsigned(doc, "lineBytes", s.lineBytes);
         if (s.lineBytes != 0 &&
             (s.lineBytes & (s.lineBytes - 1)) != 0)
             throw CampaignError(
                 "\"lineBytes\" must be a power of two");
         s.netLatencyTicks =
             doc.getU64("netLatencyTicks", s.netLatencyTicks);
-        s.shards =
-            static_cast<unsigned>(doc.getU64("shards", s.shards));
+        s.shards = getUnsigned(doc, "shards", s.shards);
         if (s.shards == 0)
             s.shards = 1;
-        s.priority = static_cast<unsigned>(
-            doc.getU64("priority", s.priority));
+        s.priority = getUnsigned(doc, "priority", s.priority);
         if (s.priority > 2)
             throw CampaignError("\"priority\" must be 0, 1, or 2");
     } catch (const JsonError &e) {

@@ -16,7 +16,7 @@ namespace serve
 // correct behavior, just not the tripwire.
 // ---------------------------------------------------------------------
 #if defined(__x86_64__) && defined(__GLIBCXX__)
-static_assert(sizeof(MachineConfig) == 736,
+static_assert(sizeof(MachineConfig) == 728,
               "MachineConfig changed: update canonicalMachineConfig");
 static_assert(sizeof(NodeParams) == 312,
               "NodeParams changed: update canonicalMachineConfig");
@@ -129,17 +129,16 @@ canonicalMachineConfig(const MachineConfig &cfg)
     c.field("machine.syncHandoffTicks",
             std::uint64_t(cfg.syncHandoffTicks));
     c.field("machine.maxTicks", std::uint64_t(cfg.maxTicks));
-    // cfg.shards, cfg.windowPolicy, and cfg.obs are deliberately
-    // omitted: all are proven result-invariant by the identity test
-    // suites (see the header comment), so points may share cache
-    // entries across them. Grant *timing* is not invariant, though:
-    // serial runs use zero-delay sync wakes unless forceSyncDefer is
-    // set, while sharded runs always defer — so the key carries the
-    // effective deferral mode, letting a deferred serial oracle share
-    // entries with every sharded point while undeferred serial stays
-    // its own.
-    c.field("sync.deferredGrants",
-            cfg.shards > 1 || cfg.forceSyncDefer);
+    // cfg.shards and cfg.obs are deliberately omitted: both are
+    // proven result-invariant by the identity test suites (see the
+    // header comment), so points may share cache entries across them.
+    // Grant *timing* is not invariant, though: serial runs use
+    // zero-delay sync wakes unless forceSyncDefer is set, while
+    // sharded runs always defer — so the key carries the deferral of
+    // the scheduler that actually runs (after any serial fallback),
+    // letting a deferred serial oracle share entries with every
+    // sharded point while undeferred serial stays its own.
+    c.field("sync.deferredGrants", cfg.shardPlan().deferredGrants);
 
     const NodeParams &n = cfg.node;
     c.field("node.procsPerNode", std::uint64_t(n.procsPerNode));

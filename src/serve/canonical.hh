@@ -14,8 +14,11 @@
  * Two groups of fields are deliberately EXCLUDED because the repo's
  * identity test suites prove them result-invariant:
  *   - MachineConfig::shards (tests/integration/test_sharded_identity):
- *     a sharded run is bit-identical to serial, so a point simulated
- *     with 4 shards can serve a request for the same point at 1;
+ *     a sharded run is bit-identical to a serial run with deferred
+ *     sync grants, so a point simulated with 4 shards can serve a
+ *     request for the same point at 1 (the key carries the grant
+ *     deferral of the scheduler that runs, from
+ *     MachineConfig::shardPlan());
  *   - MachineConfig::obs (tests/obs traced-vs-untraced identity):
  *     tracing writes side files but never changes a RunResult.
  * Everything else — including the verify/reliable/recovery/integrity

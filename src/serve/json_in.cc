@@ -30,8 +30,13 @@ JsonValue::asU64() const
 {
     if (type != Type::Number)
         throw JsonError("expected a number");
-    if (number < 0 || std::floor(number) != number)
+    if (!std::isfinite(number) || number < 0 ||
+        std::floor(number) != number)
         throw JsonError("expected a non-negative integer");
+    // 2^64 is exact as a double; casting it or anything above it to
+    // uint64_t is undefined behaviour.
+    if (number >= 18446744073709551616.0)
+        throw JsonError("integer out of range (at most 2^64 - 1)");
     return static_cast<std::uint64_t>(number);
 }
 

@@ -76,7 +76,11 @@ class JsonValue
         return nullptr;
     }
 
-    /** Typed accessors; throw JsonError on a type mismatch. */
+    /**
+     * Typed accessors; throw JsonError on a type mismatch. asU64
+     * also throws on a fractional, negative, non-finite, or >= 2^64
+     * number.
+     */
     bool asBool() const;
     double asDouble() const;
     std::uint64_t asU64() const;

@@ -14,7 +14,7 @@ namespace serve
 // round-trip test in tests/serve/test_result_cache.cc) fails the
 // build instead of silently dropping data from cached results.
 #if defined(__x86_64__) && defined(__GLIBCXX__)
-static_assert(sizeof(RunResult) == 504,
+static_assert(sizeof(RunResult) == 472,
               "RunResult changed: update result_io round-trip");
 #endif
 
@@ -83,7 +83,6 @@ writeRunResult(report::JsonWriter &j, const RunResult &r)
     j.key("shardsUsed")
         .value(static_cast<std::uint64_t>(r.shardsUsed));
     j.key("shardFallback").value(r.shardFallback);
-    j.key("windowPolicy").value(r.windowPolicy);
     j.key("windowsRun").value(r.windowsRun);
     j.key("windowsWidened").value(r.windowsWidened);
     j.key("windowFallbacks").value(r.windowFallbacks);
@@ -122,7 +121,6 @@ resultFromJson(const JsonValue &v)
         static_cast<unsigned>(v.getU64("shardsRequested", 1));
     r.shardsUsed = static_cast<unsigned>(v.getU64("shardsUsed", 1));
     r.shardFallback = v.getString("shardFallback", "");
-    r.windowPolicy = v.getString("windowPolicy", "");
     r.windowsRun = v.getU64("windowsRun", 0);
     r.windowsWidened = v.getU64("windowsWidened", 0);
     r.windowFallbacks = v.getU64("windowFallbacks", 0);
@@ -140,11 +138,10 @@ bool
 resultsIdentical(const RunResult &a, const RunResult &b)
 {
     // Execution-strategy metadata (shardsRequested/shardsUsed/
-    // shardFallback and the windowPolicy/window counters) is
-    // excluded: the cache key deliberately ignores the shard count
-    // and window policy (sharded runs are bit-identical to serial
-    // either way), so a hit may legitimately report the scheduler
-    // layout of the run that populated it.
+    // shardFallback and the window counters) is excluded: the cache
+    // key deliberately ignores the shard count (sharded runs are
+    // bit-identical to serial), so a hit may legitimately report the
+    // scheduler layout of the run that populated it.
     if (a.workload != b.workload || a.arch != b.arch)
         return false;
 #define C_U64(f)                                                      \

@@ -1,5 +1,6 @@
 #include "system/config.hh"
 
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
 #include <limits>
@@ -18,16 +19,6 @@ archName(Arch a)
       case Arch::PPC: return "PPC";
       case Arch::TwoHWC: return "2HWC";
       case Arch::TwoPPC: return "2PPC";
-    }
-    return "?";
-}
-
-const char *
-windowPolicyName(WindowPolicy p)
-{
-    switch (p) {
-      case WindowPolicy::Conservative: return "conservative";
-      case WindowPolicy::Adaptive: return "adaptive";
     }
     return "?";
 }
@@ -130,19 +121,6 @@ MachineConfig::withEnvOverrides()
     // unparsable limit would stop the run at tick 0 and report a
     // wedge, so only a positive integer is taken.
     envPositiveInt("CCNUMA_MAX_TICKS", maxTicks);
-    // CCNUMA_WINDOW overrides the sharded window policy. Every
-    // policy is bit-identical; this is a wall-clock ablation knob.
-    if (const char *env = std::getenv("CCNUMA_WINDOW")) {
-        if (!std::strcmp(env, "conservative")) {
-            windowPolicy = WindowPolicy::Conservative;
-        } else if (!std::strcmp(env, "adaptive")) {
-            windowPolicy = WindowPolicy::Adaptive;
-        } else {
-            warn("CCNUMA_WINDOW=%s not recognized (use "
-                 "conservative|adaptive); policy stays %s",
-                 env, windowPolicyName(windowPolicy));
-        }
-    }
     // CCNUMA_SYNC_DEFER forces the deferred (sharded-style) sync
     // grant path in serial runs, making a serial run a bit-identity
     // oracle for the sharded modes.
@@ -166,6 +144,45 @@ MachineConfig::withEnvOverrides()
         }
     }
     return *this;
+}
+
+ShardPlan
+MachineConfig::shardPlan() const
+{
+    // No shard may outrun another by more than the earliest possible
+    // cross-node interaction: the network's minimum send-to-arrival
+    // gap or a sync grant hand-off, whichever is smaller.
+    const Tick lookahead = std::min<Tick>(
+        2 * net.portCycle + net.flightLatency, syncHandoffTicks);
+    ShardPlan p;
+    if (shards > 1) {
+        if (verify.checker) {
+            p.fallback = "the coherence invariant checker reads global "
+                         "machine state at every delivery";
+        } else if (placement == PlacementPolicy::FirstTouch) {
+            p.fallback = "first-touch placement resolves page homes at "
+                         "miss time, a cross-shard race";
+        } else if (!verify.faults.crashes.empty()) {
+            p.fallback = "crash recovery mutates cross-node state "
+                         "(receive fences, directory rebuilds, page "
+                         "remaps) synchronously at the crash and repair "
+                         "events";
+        } else if (!verify.faults.flips.empty()) {
+            p.fallback = "integrity fault injection mutates cross-node "
+                         "state (ECC words, line poisoning, processor "
+                         "kills) synchronously at each flip event";
+        } else if (lookahead == 0) {
+            p.fallback = "the lookahead window is empty (network "
+                         "minimum latency and sync hand-off leave no "
+                         "safe slack)";
+        } else {
+            p.shards = shards;
+            p.lookahead = lookahead;
+            p.adaptiveWindows = !verify.watchdog;
+        }
+    }
+    p.deferredGrants = p.shards > 1 || forceSyncDefer;
+    return p;
 }
 
 namespace

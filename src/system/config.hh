@@ -32,31 +32,25 @@ enum class Arch
 const char *archName(Arch a);
 
 /**
- * How the sharded scheduler sizes its lookahead windows (PR 9).
- * Both policies are bit-identical to the serial scheduler — the
- * identity suite proves it — so this knob trades wall clock only and
- * is deliberately excluded from the canonical cache key, like the
- * shard count itself.
+ * The scheduler a configuration runs under, decided once by
+ * MachineConfig::shardPlan(). Machine builds its queues from it and
+ * the result-cache key reads its grant deferral, so the two can never
+ * disagree about which scheduler ran.
  */
-enum class WindowPolicy
+struct ShardPlan
 {
-    /**
-     * PR 5's lock-step windows: every shard runs the same
-     * [t0, t0 + lookahead) span, with t0 the global earliest event.
-     */
-    Conservative,
-    /**
-     * Per-shard windows bounded by the *other* shards' event
-     * horizons (plus any deferred sync operations): a shard whose
-     * peers are idle or far ahead runs a wide window and skips the
-     * barriers the conservative policy would have paid. Falls back
-     * to the conservative span the moment cross-shard traffic can
-     * exist. The default.
-     */
-    Adaptive,
+    unsigned shards = 1; ///< shards in effect, after any fallback
+    /** Lookahead window (ticks): the earliest cross-shard interaction;
+     *  0 when serial. */
+    Tick lookahead = 0;
+    /** Why a sharded request runs serially; null when it does not. */
+    const char *fallback = nullptr;
+    /** Sync grants take the deferred (sharded) path. */
+    bool deferredGrants = false;
+    /** Adaptive windows; false runs lock-step windows, which only the
+     *  hang watchdog needs (it polls at every window barrier). */
+    bool adaptiveWindows = false;
 };
-
-const char *windowPolicyName(WindowPolicy p);
 
 /** Full machine configuration. */
 struct MachineConfig
@@ -82,22 +76,15 @@ struct MachineConfig
      */
     Tick syncHandoffTicks = 16;
     /**
-     * Event-queue shards for intra-machine parallel simulation
-     * (PR 5). 1 = the classic serial scheduler; k > 1 partitions the
-     * nodes over k queues advanced in lock-step conservative
-     * windows, with results bit-identical to serial. numNodes must
-     * divide evenly. The CCNUMA_SHARDS environment variable
-     * overrides without a config change.
+     * Event-queue shards requested for intra-machine parallel
+     * simulation. 1 = the classic serial scheduler; k > 1 partitions
+     * the nodes over k queues advanced in adaptive windows, with
+     * results bit-identical to serial. numNodes must divide evenly.
+     * Some configurations cannot shard and run serially instead (see
+     * shardPlan()). The CCNUMA_SHARDS environment variable overrides
+     * without a config change.
      */
     unsigned shards = 1;
-    /**
-     * Lookahead-window sizing for the sharded scheduler (PR 9);
-     * ignored when shards == 1. Bit-identical either way, so this is
-     * omitted from the canonical cache key alongside `shards`. The
-     * CCNUMA_WINDOW environment variable (conservative|adaptive)
-     * overrides without a config change.
-     */
-    WindowPolicy windowPolicy = WindowPolicy::Adaptive;
     /**
      * Force the deferred (sharded-style) sync grant path in serial
      * runs, so a serial run can serve as a bit-identity oracle for
@@ -197,7 +184,7 @@ struct MachineConfig
     /**
      * Apply the CCNUMA_* environment overrides that change what a run
      * computes: CCNUMA_RELIABLE, _RECOVERY, _INTEGRITY, _SHARDS,
-     * _MAX_TICKS, _WINDOW, _SYNC_DEFER and _VERIFY. Idempotent.
+     * _MAX_TICKS, _SYNC_DEFER and _VERIFY. Idempotent.
      * Machine's constructor applies them, and so does
      * serve::makeSimPoint, so that a point's result-cache key is taken
      * from the configuration that actually runs.
@@ -211,6 +198,17 @@ struct MachineConfig
      * constructor calls this before building anything.
      */
     void validate() const;
+
+    /**
+     * The scheduler this configuration runs under. Sharding falls
+     * back to serial when the invariant checker is on, placement is
+     * first-touch, crashes or bit flips are scheduled, or the
+     * lookahead window, min(network minimum latency, sync hand-off),
+     * is empty. Grants are deferred when shards remain or
+     * forceSyncDefer is set; windows are adaptive unless the hang
+     * watchdog is armed.
+     */
+    ShardPlan shardPlan() const;
 
     /** Apply a coherence controller architecture. */
     MachineConfig &withArch(Arch a);

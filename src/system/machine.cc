@@ -46,47 +46,15 @@ Machine::Machine(const MachineConfig &cfg)
     // Decide the scheduler before anything queue-dependent is built.
     // Falling back to serial is never silent: the reason is warned,
     // recorded, and reported in every RunResult.
-    auto fall_back = [this](const char *why) {
-        if (cfg_.shards == 1)
-            return;
+    const ShardPlan plan = cfg_.shardPlan();
+    if (plan.fallback) {
         warn("sharded scheduling (%u shards) disabled: %s; using the "
-             "serial scheduler", cfg_.shards, why);
-        fallbackReason_ = why;
-        cfg_.shards = 1;
-    };
-    if (vc.checker) {
-        fall_back("the coherence invariant checker reads global "
-                  "machine state at every delivery");
+             "serial scheduler", cfg_.shards, plan.fallback);
+        fallbackReason_ = plan.fallback;
     }
-    if (cfg_.placement == PlacementPolicy::FirstTouch) {
-        fall_back("first-touch placement resolves page homes at miss "
-                  "time, a cross-shard race");
-    }
-    if (!vc.faults.crashes.empty()) {
-        fall_back("crash recovery mutates cross-node state (receive "
-                  "fences, directory rebuilds, page remaps) "
-                  "synchronously at the crash and repair events");
-    }
-    if (!vc.faults.flips.empty()) {
-        fall_back("integrity fault injection mutates cross-node "
-                  "state (ECC words, line poisoning, processor "
-                  "kills) synchronously at each flip event");
-    }
-    // Conservative lookahead: no shard may outrun another by more
-    // than the earliest possible cross-node interaction — the
-    // network's minimum send-to-arrival gap (shrunk by any early
-    // delivery the fault tap may inject) or a sync grant hand-off,
-    // whichever is smaller.
-    Tick min_net = 2 * cfg_.net.portCycle + cfg_.net.flightLatency;
-    long long w = static_cast<long long>(min_net) +
-                  (injector_ ? injector_->minExtraDelay() : 0);
-    w = std::min(w, static_cast<long long>(cfg_.syncHandoffTicks));
-    if (w <= 0) {
-        fall_back("the conservative lookahead window is empty "
-                  "(network minimum latency, fault-tap early "
-                  "delivery, and sync hand-off leave no safe slack)");
-    }
-    lookahead_ = cfg_.shards > 1 ? static_cast<Tick>(w) : 0;
+    cfg_.shards = plan.shards;
+    lookahead_ = plan.lookahead;
+    adaptiveActive_ = plan.adaptiveWindows;
 
     for (unsigned s = 0; s < cfg_.shards; ++s)
         queues_.push_back(std::make_unique<EventQueue>());
@@ -277,13 +245,6 @@ Machine::Machine(const MachineConfig &cfg)
             [this](std::ostream &os) { dumpDiagnostics(os); });
     }
 
-    // Adaptive windows need every widening decision to be taken at a
-    // barrier with all shards quiescent; the hang watchdog also polls
-    // at barriers, and a shard running an arbitrarily wide window
-    // would starve it, so a watchdog pins the conservative policy.
-    adaptiveActive_ = shardMap_.sharded() &&
-                      cfg_.windowPolicy == WindowPolicy::Adaptive &&
-                      !watchdog_;
     if (adaptiveActive_) {
         // A widened shard's clock may only outrun a peer when that
         // peer provably cannot act; its own sends and sync posts are
@@ -356,7 +317,8 @@ Machine::dumpDiagnostics(std::ostream &os)
     }
     if (shardMap_.sharded()) {
         os << ", lookahead window " << lookahead_ << " ticks, "
-           << windowPolicyName(windowPolicy()) << " policy";
+           << (adaptiveActive_ ? "adaptive" : "lock-step")
+           << " windows";
     }
     os << "\n";
     for (unsigned s = 0; s < queues_.size(); ++s) {
@@ -529,8 +491,8 @@ Machine::windowBarrier(Tick window_end)
     // Adaptive windows ran different spans per shard, so only sync
     // operations every shard has provably passed may be processed
     // now; the rest stay deferred (they bound the next windows).
-    // Conservative windows all ended together: process everything,
-    // exactly the PR 5 merge.
+    // Lock-step windows (the watchdog's) all ended together: process
+    // everything, exactly the PR 5 merge.
     Tick safe = maxTick;
     if (adaptiveActive_) {
         for (auto &q : queues_)
@@ -644,7 +606,6 @@ Machine::run(Workload &w, bool check)
         r.shardsRequested = shardsRequested_;
         r.shardsUsed = shardMap_.numShards;
         r.shardFallback = fallbackReason_;
-        r.windowPolicy = "serial";
         fillRecoveryStats(r);
         if (!tracers_.empty()) {
             mergeTracers();
@@ -744,9 +705,6 @@ Machine::run(Workload &w, bool check)
     r.shardsRequested = shardsRequested_;
     r.shardsUsed = shardMap_.numShards;
     r.shardFallback = fallbackReason_;
-    r.windowPolicy = shardMap_.sharded()
-                         ? windowPolicyName(windowPolicy())
-                         : "serial";
     r.windowsRun = windowsRun_;
     r.windowsWidened = windowsWidened_;
     r.windowFallbacks = windowFallbacks_;

@@ -102,17 +102,15 @@ struct RunResult
     /** Non-empty iff the machine fell back to the serial scheduler. */
     std::string shardFallback;
 
-    // --- window-policy accounting (PR 9); like the shard counts,
+    // --- window accounting (PR 9); like the shard counts,
     // execution-strategy metadata excluded from resultsIdentical().
     // Counters are zero when shardsUsed == 1. ---
-    /** "serial", "conservative", or "adaptive" (effective policy). */
-    std::string windowPolicy;
-    std::uint64_t windowsRun = 0;     ///< lock-step windows executed
-    /** Windows where at least one shard ran past the conservative
-     *  end (counted, never silent — same rule as shard fallbacks). */
+    std::uint64_t windowsRun = 0;     ///< scheduler windows executed
+    /** Windows where at least one shard ran past the lock-step end
+     *  (counted, never silent — same rule as shard fallbacks). */
     std::uint64_t windowsWidened = 0;
-    /** Adaptive windows forced back to the conservative floor by
-     *  cross-shard traffic or deferred sync operations. */
+    /** Adaptive windows held to the lock-step end by cross-shard
+     *  traffic or deferred sync operations. */
     std::uint64_t windowFallbacks = 0;
     /** Windows cut short early by a sync post's self-grant clamp. */
     std::uint64_t syncWindowStops = 0;
@@ -155,15 +153,8 @@ class Machine : public MsgRouter
         return fallbackReason_;
     }
 
-    /** The conservative lookahead window (ticks; 0 when serial). */
+    /** The lookahead window (ticks; 0 when serial). */
     Tick lookahead() const { return lookahead_; }
-
-    /** The effective window policy (conservative under a watchdog). */
-    WindowPolicy windowPolicy() const
-    {
-        return adaptiveActive_ ? WindowPolicy::Adaptive
-                               : WindowPolicy::Conservative;
-    }
 
     unsigned numNodes() const
     {
@@ -237,13 +228,13 @@ class Machine : public MsgRouter
     Tick now() const;
 
     /**
-     * Advance lock-step windows until @p done holds at a barrier,
+     * Advance scheduler windows until @p done holds at a barrier,
      * every queue drains, or the earliest pending event lies beyond
-     * @p limit. Conservative policy: every shard runs the same
-     * [t0, t0 + lookahead) span. Adaptive policy: each shard's end is
-     * bounded by the other shards' earliest events and any deferred
-     * sync operations, widening up to the limit when peers are
-     * provably quiet (see DESIGN.md §19 for the proof sketch).
+     * @p limit. Each shard's end is bounded by the other shards'
+     * earliest events and any deferred sync operations, widening up
+     * to the limit when peers are provably quiet (see DESIGN.md §19
+     * for the proof sketch). Under the hang watchdog every shard runs
+     * the same lock-step [t0, t0 + lookahead) span instead.
      * @return true iff @p done became true.
      */
     bool runWindows(const std::function<bool()> &done, Tick limit);
@@ -290,8 +281,7 @@ class Machine : public MsgRouter
     Tick lookahead_ = 0;
     unsigned shardsRequested_ = 1;
     std::string fallbackReason_;
-    /** Adaptive windows in effect (sharded, policy adaptive, and no
-     *  watchdog — the watchdog polls only at conservative barriers). */
+    /** Adaptive windows in effect (ShardPlan::adaptiveWindows). */
     bool adaptiveActive_ = false;
     std::uint64_t windowsRun_ = 0;
     std::uint64_t windowsWidened_ = 0;

@@ -39,16 +39,6 @@ class FaultInjector : public NetworkTap
                     Tick &duplicate_at) override;
 
     /**
-     * Every perturbation this injector applies either drops a
-     * message or moves its delivery later (delay jitter, reorder
-     * holds, duplicate echoes); nothing is ever delivered earlier
-     * than the network's natural tick. The sharded scheduler's
-     * lookahead window therefore keeps its full size under fault
-     * injection.
-     */
-    long long minExtraDelay() const override { return 0; }
-
-    /**
      * Engine-stall hook body for @p node (wired through
      * CoherenceController::setStallHook).
      * @return extra ticks the engine stays busy before dispatching,

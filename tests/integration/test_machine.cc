@@ -267,73 +267,6 @@ TEST(MachineConfigTest, TraceRingEnvTakesPositiveIntegersOnly)
               4096u);
 }
 
-/** A small machine that shards (4 nodes over 2 shards). */
-MachineConfig
-shardedConfig(WindowPolicy policy)
-{
-    MachineConfig cfg = MachineConfig::base();
-    cfg.numNodes = 4;
-    cfg.node.procsPerNode = 1;
-    cfg.shards = 2;
-    cfg.windowPolicy = policy;
-    return cfg;
-}
-
-RunResult
-runSmall(Machine &m)
-{
-    UniformWorkload::Knobs k;
-    k.refsPerThread = 500;
-    WorkloadParams p;
-    p.numThreads = m.totalProcs();
-    UniformWorkload w(p, k);
-    return m.run(w);
-}
-
-TEST(MachineConfigTest, WindowEnvSelectsPolicy)
-{
-    const std::pair<const char *, WindowPolicy> cases[] = {
-        {"conservative", WindowPolicy::Conservative},
-        {"adaptive", WindowPolicy::Adaptive},
-    };
-    for (const auto &[value, policy] : cases) {
-        SCOPED_TRACE(std::string("CCNUMA_WINDOW=") + value);
-        const WindowPolicy other = policy == WindowPolicy::Adaptive
-                                       ? WindowPolicy::Conservative
-                                       : WindowPolicy::Adaptive;
-        ASSERT_EQ(setenv("CCNUMA_WINDOW", value, 1), 0);
-        Machine m(shardedConfig(other));
-        unsetenv("CCNUMA_WINDOW");
-        EXPECT_EQ(m.config().windowPolicy, policy);
-        RunResult r = runSmall(m);
-        EXPECT_TRUE(r.completed);
-        EXPECT_EQ(r.shardsUsed, 2u);
-        EXPECT_EQ(r.windowPolicy, windowPolicyName(policy));
-    }
-}
-
-TEST(MachineConfigTest, WindowEnvIgnoresRetiredAndUnknownValues)
-{
-    // "speculative" named a window policy that no longer exists; an
-    // old script that still sets it (or its tuning knobs) must get a
-    // warning and the configured policy, not a failed run.
-    ASSERT_EQ(setenv("CCNUMA_SPEC_HORIZON", "8", 1), 0);
-    ASSERT_EQ(setenv("CCNUMA_SPEC_CKPT", "2", 1), 0);
-    for (const char *bad : {"speculative", "Adaptive", "bogus", ""}) {
-        SCOPED_TRACE(std::string("CCNUMA_WINDOW=") + bad);
-        ASSERT_EQ(setenv("CCNUMA_WINDOW", bad, 1), 0);
-        Machine m(shardedConfig(WindowPolicy::Conservative));
-        unsetenv("CCNUMA_WINDOW");
-        EXPECT_EQ(m.config().windowPolicy, WindowPolicy::Conservative);
-        RunResult r = runSmall(m);
-        EXPECT_TRUE(r.completed);
-        EXPECT_EQ(r.shardsUsed, 2u);
-        EXPECT_EQ(r.windowPolicy, "conservative");
-    }
-    unsetenv("CCNUMA_SPEC_HORIZON");
-    unsetenv("CCNUMA_SPEC_CKPT");
-}
-
 TEST(MachinePerf, PpcSlowerThanHwcUnderLoad)
 {
     RunResult hwc = runUniform(Arch::HWC, 4, 4, heavyKnobs());

@@ -81,11 +81,10 @@ class ShardedKernel : public ::testing::TestWithParam<std::string>
 
 TEST_P(ShardedKernel, BitIdenticalAcrossShardCounts)
 {
-    // Every window policy must reproduce the serial run exactly:
-    // conservative by construction, adaptive because widening is
-    // only applied when cross-shard silence is provable.
-    constexpr WindowPolicy kPolicies[] = {WindowPolicy::Conservative,
-                                          WindowPolicy::Adaptive};
+    // Both window plans must reproduce the serial run exactly:
+    // lock-step windows (the hang watchdog's) by construction,
+    // adaptive windows because widening is only applied when
+    // cross-shard silence is provable.
     for (Arch arch : kArchs) {
         // The serial oracle forces deferred sync grants so it
         // produces the sharded grant timing (serial runs default to
@@ -94,28 +93,33 @@ TEST_P(ShardedKernel, BitIdenticalAcrossShardCounts)
         oracle_cfg.forceSyncDefer = true;
         Snapshot serial = runPoint(oracle_cfg, GetParam());
         ASSERT_GT(serial.instructions, 0u);
-        for (WindowPolicy wp : kPolicies) {
+        for (bool watchdog : {false, true}) {
             for (unsigned shards : kShardCounts) {
                 if (shards == 1)
                     continue;
                 MachineConfig cfg = shardableConfig(arch, shards);
-                cfg.windowPolicy = wp;
+                cfg.verify.watchdog = watchdog;
                 Snapshot s = runPoint(cfg, GetParam());
                 SCOPED_TRACE(GetParam() + " on " +
                              std::string(archName(arch)) + " with " +
                              std::to_string(shards) + " shards, " +
-                             windowPolicyName(wp) + " windows");
+                             (watchdog ? "lock-step" : "adaptive") +
+                             " windows");
                 EXPECT_EQ(s.shardsUsed, shards);
                 EXPECT_TRUE(s.fallback.empty()) << s.fallback;
                 EXPECT_EQ(s.instructions, serial.instructions);
                 EXPECT_EQ(s.execTicks, serial.execTicks);
                 EXPECT_EQ(s.stats, serial.stats);
-                EXPECT_EQ(s.result.windowPolicy,
-                          windowPolicyName(wp));
                 EXPECT_GT(s.result.windowsRun, 0u);
-                if (wp == WindowPolicy::Conservative) {
+                if (watchdog) {
                     EXPECT_EQ(s.result.windowsWidened, 0u);
                     EXPECT_EQ(s.result.windowFallbacks, 0u);
+                } else {
+                    // Every adaptive window is either widened or held
+                    // to the lock-step end.
+                    EXPECT_EQ(s.result.windowsWidened +
+                                  s.result.windowFallbacks,
+                              s.result.windowsRun);
                 }
             }
         }
@@ -127,23 +131,19 @@ TEST(AdaptiveWindows, WideningAndFallbacksAreCounted)
     // The planner's decisions must be observable: a sharded adaptive
     // run reports every window it executed, every window it widened
     // past the conservative end, and every fallback to the floor —
-    // so a policy that silently degrades to always-conservative is
+    // so a planner that silently degrades to always-lock-step is
     // distinguishable from one that works.
-    MachineConfig cfg = shardableConfig(Arch::PPC, 4);
-    cfg.windowPolicy = WindowPolicy::Adaptive;
-    Snapshot a = runPoint(cfg, "FFT", 0.05);
+    Snapshot a = runPoint(shardableConfig(Arch::PPC, 4), "FFT", 0.05);
     EXPECT_EQ(a.shardsUsed, 4u);
-    EXPECT_EQ(a.result.windowPolicy, "adaptive");
     EXPECT_GT(a.result.windowsRun, 0u);
     // Kernels have quiet phases; a planner that never widens on this
     // point is broken (this is the claim the perf win rests on).
     EXPECT_GT(a.result.windowsWidened, 0u);
     EXPECT_LE(a.result.windowsWidened, a.result.windowsRun);
 
-    // The serial scheduler reports its own policy label and no
-    // window activity at all.
+    // The serial scheduler reports no window activity at all.
     Snapshot s = runPoint(shardableConfig(Arch::PPC, 1), "FFT", 0.05);
-    EXPECT_EQ(s.result.windowPolicy, "serial");
+    EXPECT_EQ(s.result.shardsUsed, 1u);
     EXPECT_EQ(s.result.windowsRun, 0u);
 }
 
@@ -251,7 +251,7 @@ TEST(ShardedFallback, CrashFaultsForceSerial)
     EXPECT_EQ(s.shardsUsed, 1u);
     EXPECT_EQ(s.result.shardsRequested, 4u);
     EXPECT_FALSE(s.result.shardFallback.empty());
-    EXPECT_EQ(s.result.windowPolicy, "serial");
+    EXPECT_EQ(s.result.windowsRun, 0u);
 }
 
 TEST(ShardedFallback, IntegrityFlipsForceSerial)
@@ -269,29 +269,29 @@ TEST(ShardedFallback, IntegrityFlipsForceSerial)
     EXPECT_EQ(s.shardsUsed, 1u);
     EXPECT_EQ(s.result.shardsRequested, 4u);
     EXPECT_FALSE(s.result.shardFallback.empty());
-    EXPECT_EQ(s.result.windowPolicy, "serial");
+    EXPECT_EQ(s.result.windowsRun, 0u);
 }
 
 TEST(ShardedFallback, WatchdogPinsConservativeWindows)
 {
-    // The hang watchdog polls at window barriers, so an adaptive
-    // request keeps its shards but runs lock-step windows, and the
-    // result reports the policy that actually ran.
+    // The hang watchdog polls at window barriers, so a watched run
+    // keeps its shards but runs lock-step windows: none widened, so
+    // none held back either.
     MachineConfig cfg = shardableConfig(Arch::PPC, 4);
-    cfg.windowPolicy = WindowPolicy::Adaptive;
     cfg.verify.watchdog = true;
     Snapshot s = runPoint(cfg, "FFT");
     EXPECT_TRUE(s.result.completed);
     EXPECT_EQ(s.shardsUsed, 4u);
-    EXPECT_EQ(s.result.windowPolicy, "conservative");
+    EXPECT_GT(s.result.windowsRun, 0u);
     EXPECT_EQ(s.result.windowsWidened, 0u);
+    EXPECT_EQ(s.result.windowFallbacks, 0u);
 }
 
 TEST(ShardedFallback, RecoveryArmedWithoutCrashKeepsShards)
 {
     // Crash recovery armed but no crash scheduled: nothing mutates
     // cross-node state outside the event keys, so the requested
-    // shards and window policy stay, and the run still matches the
+    // shards and adaptive windows stay, and the run still matches the
     // serial oracle with the same recovery machinery armed.
     MachineConfig oracle_cfg =
         shardableConfig(Arch::PPC, 1).withCrashRecovery();
@@ -301,13 +301,13 @@ TEST(ShardedFallback, RecoveryArmedWithoutCrashKeepsShards)
 
     MachineConfig cfg =
         shardableConfig(Arch::PPC, 4).withCrashRecovery();
-    cfg.windowPolicy = WindowPolicy::Adaptive;
     Snapshot s = runPoint(cfg, "FFT");
     EXPECT_TRUE(s.result.completed);
     EXPECT_EQ(s.shardsUsed, 4u);
     EXPECT_TRUE(s.result.shardFallback.empty())
         << s.result.shardFallback;
-    EXPECT_EQ(s.result.windowPolicy, "adaptive");
+    EXPECT_EQ(s.result.windowsWidened + s.result.windowFallbacks,
+              s.result.windowsRun);
     EXPECT_EQ(s.instructions, serial.instructions);
     EXPECT_EQ(s.execTicks, serial.execTicks);
     EXPECT_EQ(s.stats, serial.stats);
@@ -318,7 +318,9 @@ TEST(ShardedWindows, SeededLookaheadsStayIdentical)
     // The identity matrix above runs at the default lookahead. Here a
     // seeded sweep varies what bounds the window width — network
     // flight latency and sync hand-off — together with the shard
-    // count and policy; every draw must match its own serial oracle.
+    // count and window plan (lock-step under the hang watchdog,
+    // adaptive otherwise); every draw must match its own serial
+    // oracle.
     std::uint64_t x = 0x2545F4914F6CDD1Dull;
     auto next = [&x] {
         x ^= x << 13;
@@ -327,22 +329,21 @@ TEST(ShardedWindows, SeededLookaheadsStayIdentical)
         return x;
     };
     const unsigned shard_choices[] = {2, 4, 8};
-    const WindowPolicy policies[] = {WindowPolicy::Conservative,
-                                     WindowPolicy::Adaptive};
     for (int i = 0; i < 6; ++i) {
         const Tick flight = 2 + next() % 60;
         const Tick handoff = 1 + next() % 48;
         const unsigned shards = shard_choices[next() % 3];
-        const WindowPolicy wp = policies[next() % 2];
+        const bool watchdog = next() % 2 == 0;
         SCOPED_TRACE("flight=" + std::to_string(flight) +
                      " handoff=" + std::to_string(handoff) + " " +
                      std::to_string(shards) + " shards, " +
-                     windowPolicyName(wp) + " windows");
+                     (watchdog ? "lock-step" : "adaptive") +
+                     " windows");
         auto cfg_for = [&](unsigned n) {
             MachineConfig cfg = shardableConfig(Arch::PPC, n);
             cfg.net.flightLatency = flight;
             cfg.syncHandoffTicks = handoff;
-            cfg.windowPolicy = wp;
+            cfg.verify.watchdog = watchdog && n > 1;
             cfg.forceSyncDefer = n == 1;
             return cfg;
         };
@@ -352,6 +353,9 @@ TEST(ShardedWindows, SeededLookaheadsStayIdentical)
         EXPECT_EQ(s.shardsUsed, shards);
         EXPECT_TRUE(s.fallback.empty()) << s.fallback;
         EXPECT_GT(s.result.windowsRun, 0u);
+        if (watchdog) {
+            EXPECT_EQ(s.result.windowsWidened, 0u);
+        }
         EXPECT_EQ(s.instructions, serial.instructions);
         EXPECT_EQ(s.execTicks, serial.execTicks);
         EXPECT_EQ(s.stats, serial.stats);

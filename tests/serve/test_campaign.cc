@@ -89,6 +89,16 @@ TEST(CampaignSpec, RejectsInvalidSpecs)
         parseCampaignSpec(
             "{\"apps\": [\"FFT\"], \"seeds\": \"12\"}"),
         CampaignError);
+    // Unsigned fields past UINT_MAX are rejected, not narrowed:
+    // 4294967360 is 2^32 + 64, which would read as 64 processors.
+    for (const char *field :
+         {"\"procs\": 4294967360", "\"lineBytes\": 4294967424",
+          "\"shards\": 4294967298", "\"priority\": 4294967297"}) {
+        SCOPED_TRACE(field);
+        EXPECT_THROW(parseCampaignSpec(std::string(
+                         "{\"apps\": [\"FFT\"], ") + field + "}"),
+                     CampaignError);
+    }
 }
 
 TEST(CampaignExpand, GridOrderAndConventions)

@@ -318,14 +318,17 @@ TEST(Canonical, ResultInvariantFieldsDoNotChangeTheHash)
     // zero-delay sync wakes, so they key differently from sharded
     // runs (sync.deferredGrants) — unless deferral is forced, which
     // makes a serial run the sharded oracle and merges the entries.
-    MachineConfig sharded2 = base;
+    // baseConfig() schedules crashes and flips, which keep a run
+    // serial, so the shard cases start from the fault-free preset.
+    const MachineConfig shardable = MachineConfig::base();
+    MachineConfig sharded2 = shardable;
     sharded2.shards = 2;
-    MachineConfig sharded4 = base;
+    MachineConfig sharded4 = shardable;
     sharded4.shards = 4;
     EXPECT_EQ(keyFor(sharded2).hash, keyFor(sharded4).hash);
     EXPECT_EQ(keyFor(sharded2).canonical, keyFor(sharded4).canonical);
-    EXPECT_NE(keyFor(sharded4).hash, base_key.hash);
-    MachineConfig deferred_serial = base;
+    EXPECT_NE(keyFor(sharded4).hash, keyFor(shardable).hash);
+    MachineConfig deferred_serial = shardable;
     deferred_serial.forceSyncDefer = true;
     EXPECT_EQ(keyFor(deferred_serial).hash, keyFor(sharded4).hash);
     EXPECT_EQ(keyFor(deferred_serial).canonical,
@@ -338,17 +341,46 @@ TEST(Canonical, ResultInvariantFieldsDoNotChangeTheHash)
     traced.obs.chromeTraceFile = "elsewhere.json";
     EXPECT_EQ(keyFor(traced).hash, base_key.hash);
     EXPECT_EQ(keyFor(traced).canonical, base_key.canonical);
+}
 
-    // Window policy: conservative and adaptive windows are proven
-    // bit-identical by tests/integration/test_sharded_identity.cc,
-    // so the policy choice must not split the result cache.
-    MachineConfig adaptive = base;
-    adaptive.windowPolicy = WindowPolicy::Adaptive;
-    MachineConfig conservative = base;
-    conservative.windowPolicy = WindowPolicy::Conservative;
-    EXPECT_EQ(keyFor(adaptive).hash, keyFor(conservative).hash);
-    EXPECT_EQ(keyFor(adaptive).canonical,
-              keyFor(conservative).canonical);
+TEST(Canonical, SerialFallbackKeysAsTheSerialRun)
+{
+    // A sharded request that falls back to the serial scheduler runs
+    // with zero-delay sync wakes, exactly like a plain serial run, so
+    // it must share that run's key and never the deferred oracle's:
+    // the two runs give different execTicks.
+    const Perturbation cases[] = {
+        {"checker", [](MachineConfig &c) { c.verify.checker = true; }},
+        {"first-touch",
+         [](MachineConfig &c) {
+             c.placement = PlacementPolicy::FirstTouch;
+         }},
+        {"crash",
+         [](MachineConfig &c) {
+             c.verify.faults.crashes.push_back(CrashFault{});
+         }},
+        {"flip",
+         [](MachineConfig &c) {
+             c.verify.faults.flips.push_back(FlipFault{});
+         }},
+        {"empty lookahead",
+         [](MachineConfig &c) { c.syncHandoffTicks = 0; }},
+    };
+    for (const Perturbation &p : cases) {
+        SCOPED_TRACE(p.name);
+        MachineConfig serial = MachineConfig::base();
+        p.apply(serial);
+        MachineConfig sharded = serial;
+        sharded.shards = 2;
+        ASSERT_NE(sharded.shardPlan().fallback, nullptr);
+        MachineConfig deferred = serial;
+        deferred.forceSyncDefer = true;
+        EXPECT_EQ(keyFor(sharded).canonical, keyFor(serial).canonical);
+        EXPECT_EQ(keyFor(sharded).hash, keyFor(serial).hash);
+        EXPECT_NE(keyFor(sharded).canonical,
+                  keyFor(deferred).canonical);
+        EXPECT_NE(keyFor(sharded).hash, keyFor(deferred).hash);
+    }
 }
 
 TEST(Canonical, HashIsStableAcrossRuns)

@@ -57,6 +57,21 @@ TEST(JsonIn, RejectsMalformedDocuments)
     EXPECT_THROW(parseJson("1 2"), JsonError);
 }
 
+TEST(JsonIn, U64RejectsOutOfRangeNumbers)
+{
+    // Casting these doubles to uint64_t is undefined behaviour.
+    for (const char *n : {"1e30", "18446744073709551616", "1e400",
+                          "-1e400"}) {
+        SCOPED_TRACE(n);
+        EXPECT_THROW(parseJson(std::string("{\"n\": ") + n + "}")
+                         .getU64("n", 0),
+                     JsonError);
+    }
+    // The largest double below 2^64 still reads exactly.
+    EXPECT_EQ(parseJson("{\"n\": 18446744073709549568}").getU64("n", 0),
+              18446744073709549568ull);
+}
+
 TEST(JsonIn, RejectsDeepNesting)
 {
     auto nest = [](unsigned depth, char open, const std::string &mid,

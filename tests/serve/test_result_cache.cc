@@ -78,7 +78,6 @@ TEST(ResultIo, RoundTripsEveryField)
     r.escapedCorruptions = 0;
     r.shardFallback = true;
     r.avgUtilization = 0.123456789012345678; // %.17g must hold this
-    r.windowPolicy = "adaptive";
     r.windowsRun = 9;
     r.windowsWidened = 10;
     r.windowFallbacks = 11;
@@ -90,7 +89,6 @@ TEST(ResultIo, RoundTripsEveryField)
     EXPECT_EQ(back.execTicks, r.execTicks);
     EXPECT_EQ(back.avgUtilization, r.avgUtilization); // bit-exact
     EXPECT_EQ(back.shardFallback, r.shardFallback);
-    EXPECT_EQ(back.windowPolicy, r.windowPolicy);
     EXPECT_EQ(back.windowsRun, r.windowsRun);
     EXPECT_EQ(back.windowsWidened, r.windowsWidened);
     EXPECT_EQ(back.windowFallbacks, r.windowFallbacks);
@@ -99,17 +97,17 @@ TEST(ResultIo, RoundTripsEveryField)
 
 TEST(ResultIo, LoadsResultsWithRetiredSpeculationCounters)
 {
-    // Result files written before the speculative window policy was
-    // removed end with six more keys. They must still load, and
-    // compare identical to the same result without them, so
-    // persisted caches keep serving hits.
+    // Result files written before the window-policy knob and the
+    // speculative policy were removed carry seven more keys. They
+    // must still load, and compare identical to the same result
+    // without them.
     RunResult r = makeResult(9);
-    r.windowPolicy = "adaptive";
     r.windowsRun = 3;
     const std::string current = resultToJson(r);
     ASSERT_EQ(current.back(), '}');
     const std::string older =
         current.substr(0, current.size() - 1) +
+        ",\"windowPolicy\":\"adaptive\""
         ",\"windowPolicyFallback\":\"the hang watchdog polls at "
         "lock-step barriers\",\"rollbacks\":13,\"antiMessages\":14,"
         "\"squashedEvents\":15,\"checkpointBytes\":16,"
@@ -118,7 +116,6 @@ TEST(ResultIo, LoadsResultsWithRetiredSpeculationCounters)
     RunResult back = resultFromJson(older);
     EXPECT_TRUE(resultsIdentical(back, resultFromJson(current)));
     EXPECT_TRUE(resultsIdentical(back, r));
-    EXPECT_EQ(back.windowPolicy, r.windowPolicy);
     EXPECT_EQ(back.windowsRun, r.windowsRun);
 }
 

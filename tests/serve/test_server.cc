@@ -125,6 +125,13 @@ TEST(Server, ErrorPaths)
     EXPECT_EQ(httpRequest(port, "POST", "/campaigns", "not json")
                   .status,
               400);
+    // 2^32 + 64 processors must not be narrowed into a 64-processor
+    // campaign.
+    EXPECT_EQ(httpRequest(port, "POST", "/campaigns",
+                          "{\"apps\": [\"FFT\"], "
+                          "\"procs\": 4294967360}")
+                  .status,
+              400);
     // Unknown campaign -> 404; unknown path -> 404; wrong verb -> 405.
     EXPECT_EQ(httpRequest(port, "GET", "/campaigns/nope").status,
               404);
@@ -132,7 +139,7 @@ TEST(Server, ErrorPaths)
     EXPECT_EQ(httpRequest(port, "POST", "/campaigns/nope", "{}")
                   .status,
               405);
-    EXPECT_EQ(service.admissionStats().rejectedInvalid, 2u);
+    EXPECT_EQ(service.admissionStats().rejectedInvalid, 3u);
 
     // Result of a queued campaign -> 409 (deterministic: executors
     // are paused, so the job cannot start).

@@ -28,10 +28,6 @@ meaningless there. More checks ride on the same summary table:
     / sync window stops) must be PRESENT — a bench export without
     them means the planner silently stopped counting, which is
     itself a failure;
-  * the windowPolicy ablation: the adaptive-vs-conservative wall
-    ratio must stay below 1 + --max-adaptive-regression (default
-    0.20) — adaptive windows may never cost more than 20% over the
-    conservative barrier they claim to beat;
   * --min-speedup-adaptive N (default 0 = off) requires the overall
     serial-vs-adaptive speedup to reach N on hosts with >= 8
     hardware threads (the fig6 8-core target).
@@ -67,7 +63,6 @@ Usage: bench_gate.py [BASELINE.json FRESH.json] [--threshold 0.20]
                      [--sharded BENCH_fig6_sharded.json]
                      [--min-speedup 1.5]
                      [--min-speedup-adaptive 0]
-                     [--max-adaptive-regression 0.20]
                      [--recovery BENCH_crash_campaign.json]
                      [--max-rebuild-ticks 50000]
                      [--integrity BENCH_corruption_campaign.json]
@@ -122,8 +117,7 @@ def sharded_summary(path):
     return None
 
 
-def check_sharded(path, min_speedup, min_speedup_adaptive,
-                  max_adaptive_regression, failures):
+def check_sharded(path, min_speedup, min_speedup_adaptive, failures):
     summary = sharded_summary(path)
     if summary is None:
         failures.append(f"{path}: no 'speedup summary' table")
@@ -170,21 +164,6 @@ def check_sharded(path, min_speedup, min_speedup_adaptive,
         failures.append(
             f"sharded scheduler only {speedup:.2f}x serial "
             f"(expected >= {min_speedup:.2f}x on {hw} threads)")
-
-    ablation = summary.get("adaptive vs conservative wall")
-    if ablation is None:
-        failures.append(
-            "sharded fig6: summary lacks the 'adaptive vs "
-            "conservative wall' ablation column")
-    else:
-        ablation = float(ablation)
-        limit = 1.0 + max_adaptive_regression
-        print(f"  adaptive/conservative wall {ablation:.3f} "
-              f"(require <= {limit:.2f})")
-        if ablation > limit:
-            failures.append(
-                f"adaptive windows cost {ablation:.3f}x the "
-                f"conservative barrier (ceiling {limit:.2f}x)")
 
     if min_speedup_adaptive > 0:
         if hw >= 8:
@@ -366,10 +345,6 @@ def main():
                     help="min serial-vs-adaptive speedup, enforced "
                          "only on hosts with >= 8 hardware threads "
                          "(0 = off)")
-    ap.add_argument("--max-adaptive-regression", type=float,
-                    default=0.20,
-                    help="max fractional wall-clock cost of adaptive "
-                         "windows over conservative")
     ap.add_argument("--recovery", metavar="JSON",
                     help="BENCH_crash_campaign.json to gate on")
     ap.add_argument("--max-rebuild-ticks", type=int, default=50000,
@@ -446,8 +421,7 @@ def main():
 
     if args.sharded:
         check_sharded(args.sharded, args.min_speedup,
-                      args.min_speedup_adaptive,
-                      args.max_adaptive_regression, failures)
+                      args.min_speedup_adaptive, failures)
 
     if args.recovery:
         check_recovery(args.recovery, args.max_rebuild_ticks,
