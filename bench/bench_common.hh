@@ -34,6 +34,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <numeric>
@@ -44,6 +45,7 @@
 #include "report/json.hh"
 #include "report/table.hh"
 #include "serve/session.hh"
+#include "sim/logging.hh"
 #include "sim/parallel.hh"
 #include "system/machine.hh"
 #include "workload/replay.hh"
@@ -92,6 +94,24 @@ struct Options
     }
 };
 
+/**
+ * The integer value of the flag @p arg ("--name=value"), which must
+ * lie in [@p lo, @p hi]; anything else exits 2 with a one-line reason.
+ */
+inline std::uint64_t
+integerFlag(const std::string &arg, std::uint64_t lo,
+            std::uint64_t hi = std::numeric_limits<unsigned>::max())
+{
+    const std::size_t eq = arg.find('=');
+    if (auto v = parseDecimal(std::string_view(arg).substr(eq + 1), lo,
+                              hi))
+        return *v;
+    std::fprintf(stderr, "%s: expected an integer from %llu to %llu\n",
+                 arg.c_str(), (unsigned long long)lo,
+                 (unsigned long long)hi);
+    std::exit(2);
+}
+
 inline Options
 parseOptions(int argc, char **argv)
 {
@@ -99,23 +119,26 @@ parseOptions(int argc, char **argv)
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
         if (arg.rfind("--scale=", 0) == 0) {
-            o.scale = std::stod(arg.substr(8));
+            auto v = parsePositiveReal(std::string_view(arg).substr(8));
+            if (!v) {
+                std::fprintf(stderr, "%s: expected a finite number "
+                             "above 0\n", arg.c_str());
+                std::exit(2);
+            }
+            o.scale = *v;
         } else if (arg == "--full") {
             o.scale = 1.0;
         } else if (arg.rfind("--procs=", 0) == 0) {
-            o.procs = static_cast<unsigned>(
-                std::stoul(arg.substr(8)));
+            o.procs = static_cast<unsigned>(integerFlag(arg, 1));
         } else if (arg.rfind("--jobs=", 0) == 0) {
-            o.jobs = static_cast<unsigned>(std::stoul(arg.substr(7)));
+            // 0, like --jobs alone, means every hardware thread.
+            o.jobs = static_cast<unsigned>(integerFlag(arg, 0));
             if (o.jobs == 0)
                 o.jobs = ThreadPool::hardwareJobs();
         } else if (arg == "--jobs") {
             o.jobs = ThreadPool::hardwareJobs();
         } else if (arg.rfind("--shards=", 0) == 0) {
-            o.shards =
-                static_cast<unsigned>(std::stoul(arg.substr(9)));
-            if (o.shards == 0)
-                o.shards = 1;
+            o.shards = static_cast<unsigned>(integerFlag(arg, 1));
         } else if (arg.rfind("--apps=", 0) == 0) {
             std::string list = arg.substr(7);
             std::size_t pos = 0;

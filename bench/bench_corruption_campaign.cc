@@ -146,8 +146,8 @@ main(int argc, char **argv)
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
         if (arg.rfind("--flip-node=", 0) == 0)
-            flip_node =
-                static_cast<NodeId>(std::stoul(arg.substr(12)));
+            flip_node = static_cast<NodeId>(integerFlag(
+                arg, 0, std::numeric_limits<NodeId>::max()));
         else
             rest.push_back(argv[i]);
     }

@@ -119,8 +119,8 @@ main(int argc, char **argv)
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
         if (arg.rfind("--crash-node=", 0) == 0)
-            crash_node =
-                static_cast<NodeId>(std::stoul(arg.substr(13)));
+            crash_node = static_cast<NodeId>(integerFlag(
+                arg, 0, std::numeric_limits<NodeId>::max()));
         else
             rest.push_back(argv[i]);
     }

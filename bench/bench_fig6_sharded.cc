@@ -14,10 +14,10 @@
  * checks.
  *
  * The adaptive planner's behavior is exported in full: windows run,
- * windows widened past the lock-step end, fallbacks to it, and
+ * windows widened past the conservative end, fallbacks to it, and
  * sync-induced window stops are summed into the summary table — the
  * gate refuses a run where the counters are missing, so the planner
- * can never silently degrade into always-lock-step.
+ * can never silently degrade into always-conservative windows.
  *
  * Each application's reference trace is pre-captured into the replay
  * cache before its first timed run, so one-time trace generation

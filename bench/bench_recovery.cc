@@ -72,7 +72,8 @@ main(int argc, char **argv)
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
         if (arg.rfind("--seed=", 0) == 0)
-            seed = std::stoull(arg.substr(7));
+            seed = integerFlag(
+                arg, 0, std::numeric_limits<std::uint64_t>::max());
         else
             rest.push_back(argv[i]);
     }

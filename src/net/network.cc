@@ -18,7 +18,6 @@ Network::init()
         sp.pairLastArrive.assign(map_->numNodes, 0);
     dst_.resize(map_->numNodes);
     mailboxes_.resize(map_->numShards);
-    tracerOfNode_.assign(map_->numNodes, nullptr);
 
     statGroup_.add(&statMessages);
     statGroup_.add(&statBytes);
@@ -95,9 +94,8 @@ void
 Network::noteSpan(NodeId src, NodeId dst, unsigned bytes,
                   Tick send_tick, Tick delivered)
 {
-    if (tracerOfNode_[dst])
-        tracerOfNode_[dst]->netSpan(src, dst, bytes, send_tick,
-                                    delivered);
+    if (tracer_)
+        tracer_->netSpan(src, dst, bytes, send_tick, delivered);
 }
 
 void
@@ -112,13 +110,6 @@ Network::drainMailboxes()
         }
         box.clear();
     }
-}
-
-void
-Network::setTracers(const std::vector<obs::Tracer *> &per_node)
-{
-    ccnuma_assert(per_node.size() == src_.size());
-    tracerOfNode_ = per_node;
 }
 
 void

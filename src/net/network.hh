@@ -161,7 +161,7 @@ class Network
      * sending queue's window stop to arrive_at + @p margin, where
      * @p margin is the machine's conservative lookahead (the earliest
      * a consequence of the send could re-enter the sender's shard).
-     * Off by default; conservative lock-step windows never need it.
+     * Off by default; a sharded Machine always sets it.
      */
     void
     setSendClampMargin(Tick margin)
@@ -170,14 +170,8 @@ class Network
         clampMargin_ = margin;
     }
 
-    /** Record message flights with one tracer for every node. */
-    void setTracer(obs::Tracer *t)
-    {
-        tracerOfNode_.assign(src_.size(), t);
-    }
-
-    /** Per-node tracers (sharded: each node's shard tracer). */
-    void setTracers(const std::vector<obs::Tracer *> &per_node);
+    /** Record message flights with @p t (null: tracing off). */
+    void setTracer(obs::Tracer *t) { tracer_ = t; }
 
     stats::Group &statGroup() { return statGroup_; }
 
@@ -354,7 +348,7 @@ class Network
     /** Clamp senders' window stops on cross-shard sends (adaptive). */
     bool clampSends_ = false;
     Tick clampMargin_ = 0;
-    std::vector<obs::Tracer *> tracerOfNode_;
+    obs::Tracer *tracer_ = nullptr;
     stats::Group statGroup_;
 };
 

@@ -38,7 +38,6 @@ ReliableTransport::init()
 
     tx_.resize(static_cast<std::size_t>(numNodes_) * numNodes_);
     rx_.resize(static_cast<std::size_t>(numNodes_) * numNodes_);
-    tracerOfNode_.assign(numNodes_, nullptr);
     fenced_.assign(numNodes_, 0);
     dead_.assign(numNodes_, 0);
 
@@ -51,13 +50,6 @@ ReliableTransport::init()
     statGroup_.add(&statBackoffTicks);
     statGroup_.add(&statCrcChecked);
     statGroup_.add(&statCrcDetected);
-}
-
-void
-ReliableTransport::setTracers(const std::vector<obs::Tracer *> &per_node)
-{
-    ccnuma_assert(per_node.size() == numNodes_);
-    tracerOfNode_ = per_node;
 }
 
 Tick
@@ -164,7 +156,7 @@ ReliableTransport::onFrameArrive(NodeId src, NodeId dst,
         ccnuma_trace(0, "%8llu xport crc-drop n%u->n%u",
                      (unsigned long long)map_->of(dst).curTick(),
                      src, dst);
-        if (obs::Tracer *t = tracerOfNode_[dst]) {
+        if (obs::Tracer *t = tracer_) {
             t->faultEvent(obs::FaultKind::CrcDrop, dst, 0,
                           map_->of(dst).curTick());
         }
@@ -311,7 +303,7 @@ ReliableTransport::onTimeout(NodeId src, NodeId dst,
     Tick now = map_->of(src).curTick();
     ++p.timeouts;
     p.backoffTicks += rtoFor(p.backoffLevel);
-    if (obs::Tracer *t = tracerOfNode_[src])
+    if (obs::Tracer *t = tracer_)
         t->xportEvent(obs::SpanKind::XportTimeout, src, dst, now);
     // Go-back-N: retransmit every unacknowledged frame in sequence
     // order. The receiver discards the ones it already holds, so one
@@ -343,7 +335,7 @@ ReliableTransport::onTimeout(NodeId src, NodeId dst,
                   (unsigned long long)now, p.unacked.size());
         }
         ++p.retransmits;
-        if (obs::Tracer *t = tracerOfNode_[src]) {
+        if (obs::Tracer *t = tracer_) {
             t->xportEvent(obs::SpanKind::XportRetransmit, src, dst,
                           now);
         }

@@ -179,14 +179,8 @@ class ReliableTransport
         return pairDeadDeferrals_;
     }
 
-    /** Record timeouts/retransmits with one tracer for all nodes. */
-    void setTracer(obs::Tracer *t)
-    {
-        tracerOfNode_.assign(numNodes_, t);
-    }
-
-    /** Per-node tracers (sharded: each node's shard tracer). */
-    void setTracers(const std::vector<obs::Tracer *> &per_node);
+    /** Record timeouts/retransmits with @p t (null: tracing off). */
+    void setTracer(obs::Tracer *t) { tracer_ = t; }
 
     /** Dump per-pair transport state for deadlock diagnosis. */
     void dumpState(std::ostream &os) const;
@@ -304,7 +298,7 @@ class ReliableTransport
     DeliverFn deliver_;
     std::vector<PairTx> tx_;
     std::vector<PairRx> rx_;
-    std::vector<obs::Tracer *> tracerOfNode_;
+    obs::Tracer *tracer_ = nullptr;
     std::vector<char> fenced_;   ///< receive-fenced (crashed) nodes
     std::vector<char> dead_;     ///< permanently fenced nodes
     PairDeadHook pairDeadHook_;

@@ -83,14 +83,12 @@ SyncManager::post(Op op)
     key.sub = q.nextSub();
     pending_[map_->shardOf(op.node)].push_back(
         Record{key, std::move(op)});
-    // An adaptive window must not run past the point where this
-    // operation's own grant could land back on this queue (e.g. an
-    // uncontended lock acquire granted to the acquirer): stop the
-    // window there so the grant is scheduled before the shard resumes.
-    // Cross-shard grants are covered by the planner's pending-sync
-    // bound instead.
-    if (adaptiveWindows_)
-        q.clampWindowStop(q.curTick() + handoffTicks_);
+    // A window must not run past the point where this operation's own
+    // grant could land back on this queue (e.g. an uncontended lock
+    // acquire granted to the acquirer): stop the window there so the
+    // grant is scheduled before the shard resumes. Cross-shard grants
+    // are covered by the planner's pending-sync bound instead.
+    q.clampWindowStop(q.curTick() + handoffTicks_);
 }
 
 void

@@ -63,15 +63,6 @@ class SyncManager
     Tick handoffTicks() const { return handoffTicks_; }
 
     /**
-     * Adaptive-window support: have every recorded operation clamp
-     * the posting queue's window stop to op.tick + handoffTicks (the
-     * earliest its own grant could land back on that queue). Under
-     * conservative lock-step windows the clamp is a provable no-op,
-     * so it stays off and the hot path skips it.
-     */
-    void setAdaptiveWindows(bool on) { adaptiveWindows_ = on; }
-
-    /**
      * Force the deferred (sharded-style) grant path even on a single
      * queue. Serial runs normally use the seed's zero-delay wakes;
      * identity oracles for the sharded modes flip this on
@@ -122,7 +113,7 @@ class SyncManager
      * barrier with all shard threads quiescent. Serial mode processes
      * inline and never buffers, so this is then a no-op.
      *
-     * Under adaptive windows shards run *different* spans, so an
+     * Adaptive windows run *different* spans per shard, so an
      * operation posted by a far-ahead shard may sort after operations
      * a lagging shard has not yet posted. @p safe is the tick every
      * shard has provably reached (the post-drain minimum of all
@@ -131,9 +122,8 @@ class SyncManager
      * to op.tick + handoffTicks, since its grant can wake a processor
      * whose next sync operation would sort before a later buffered
      * one. The unprocessed suffix is deferred to a later barrier.
-     * With the default safe = maxTick (conservative windows, where
-     * every shard reached the same end) everything is processed, so
-     * behavior is exactly the PR 5 merge.
+     * With the default safe = maxTick everything is processed: right
+     * only when every queue has passed every buffered operation.
      */
     void processPending(Tick safe = maxTick);
 
@@ -216,7 +206,6 @@ class SyncManager
     Addr lockRegionOffset_;
     unsigned participants_ = 1;
     Tick handoffTicks_ = 16;
-    bool adaptiveWindows_ = false;
     bool forceDefer_ = false;
     /** Per-context grant sequence (advances in processing order). */
     std::uint64_t syncSeq_ = 0;

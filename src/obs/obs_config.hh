@@ -3,7 +3,10 @@
  * Observability subsystem configuration. Everything is off by
  * default so paper-fidelity runs pay nothing; the CCNUMA_TRACE
  * environment variable force-enables tracing without a config change
- * (mirroring CCNUMA_VERIFY / CCNUMA_RELIABLE). See DESIGN.md
+ * (mirroring CCNUMA_VERIFY / CCNUMA_RELIABLE). All the CCNUMA_TRACE*
+ * knobs are read by MachineConfig::withEnvOverrides, before the shard
+ * plan is made: a machine keeps exactly one tracer, so a traced
+ * sharded request runs serially with deferred grants. See DESIGN.md
  * ("Observability subsystem") for the span taxonomy and the sink
  * interface.
  */
@@ -20,7 +23,11 @@ namespace ccnuma
 /** Machine-level observability knobs. */
 struct ObsConfig
 {
-    /** Master switch; everything below is inert when false. */
+    /**
+     * Master switch; everything below is inert when false. When true,
+     * a sharded request runs on one queue (see
+     * MachineConfig::shardPlan()); its results do not change.
+     */
     bool enabled = false;
 
     /**

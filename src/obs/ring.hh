@@ -80,19 +80,6 @@ class EventRing
             f(buf_[i & mask_]);
     }
 
-    /**
-     * Adjust the accounting by externally tracked deltas. Used when
-     * rebuilding a ring from several source rings (sharded-run
-     * merge) so pushed/dropped still reflect the original recording,
-     * not the rebuild.
-     */
-    void
-    bump(std::uint64_t pushed, std::uint64_t dropped)
-    {
-        pushed_ += pushed;
-        dropped_ += dropped;
-    }
-
     /** Discard everything, including the drop/push accounting. */
     void
     clear()

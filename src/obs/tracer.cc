@@ -358,70 +358,6 @@ Tracer::reset(Tick now)
 }
 
 void
-Tracer::absorb(Tracer &other)
-{
-    // Aggregates simply add: every hook fed exactly one shard's
-    // tracer, so the shard records partition the machine-wide total.
-    for (std::size_t i = 0; i < engines_.size(); ++i)
-        engines_[i].merge(other.engines_[i]);
-    for (unsigned c = 0; c < numReqClasses; ++c)
-        classHist_[c]->merge(*other.classHist_[c]);
-    for (unsigned h = 0; h < numHandlers; ++h) {
-        handlerCount_[h] += other.handlerCount_[h];
-        handlerTicks_[h] += other.handlerTicks_[h];
-    }
-    for (unsigned op = 0; op < numSubOps; ++op)
-        subOpTicks_[op] += other.subOpTicks_[op];
-    busMemWait_ += other.busMemWait_;
-    dispatchOnly_ += other.dispatchOnly_;
-    busLat_.merge(other.busLat_);
-    netLat_.merge(other.netLat_);
-    netBytes_ += other.netBytes_;
-    xportRetx_ += other.xportRetx_;
-    xportTo_ += other.xportTo_;
-    faultEvents_ += other.faultEvents_;
-    for (unsigned k = 0; k < numFaultKinds; ++k)
-        faultKindCount_[k] += other.faultKindCount_[k];
-    missSeq_ += other.missSeq_;
-    busSeq_ += other.busSeq_;
-    netSeq_ += other.netSeq_;
-    engineSeq_ += other.engineSeq_;
-
-    // Combine the event rings into one timeline ordered by start
-    // tick. A stable sort over the deterministic concatenation
-    // (self's events, then the absorbed shard's) keeps the merged
-    // record reproducible. Ring accounting is carried over so
-    // pushed/dropped still describe the original recording.
-    std::vector<TraceEvent> all;
-    all.reserve(ring_.size() + other.ring_.size());
-    ring_.forEach([&](const TraceEvent &ev) { all.push_back(ev); });
-    other.ring_.forEach(
-        [&](const TraceEvent &ev) { all.push_back(ev); });
-    std::stable_sort(all.begin(), all.end(),
-                     [](const TraceEvent &a, const TraceEvent &b) {
-                         if (a.start != b.start)
-                             return a.start < b.start;
-                         if (a.kind != b.kind)
-                             return a.kind < b.kind;
-                         if (a.node != b.node)
-                             return a.node < b.node;
-                         return a.lane < b.lane;
-                     });
-    std::uint64_t pushed = ring_.pushed() + other.ring_.pushed();
-    std::uint64_t dropped = ring_.dropped() + other.ring_.dropped();
-    ring_.clear();
-    other.ring_.clear();
-    for (const TraceEvent &ev : all)
-        ring_.push(ev); // overflow here is counted like any other
-    pushed = pushed > ring_.pushed() ? pushed - ring_.pushed() : 0;
-    ring_.bump(pushed, dropped);
-
-    // Drain the absorbed tracer so a subsequent run's merge does not
-    // count this run's record twice.
-    other.reset(other.measureStart_);
-}
-
-void
 Tracer::exportTo(TraceSink &sink, Tick now) const
 {
     sink.begin(*this, now);

@@ -87,17 +87,6 @@ struct EngineAgg
         queueWait.reset();
         queueDepth.reset();
     }
-
-    void
-    merge(const EngineAgg &o)
-    {
-        busyTicks += o.busyTicks;
-        stallTicks += o.stallTicks;
-        handlers += o.handlers;
-        stalls += o.stalls;
-        queueWait.merge(o.queueWait);
-        queueDepth.merge(o.queueDepth);
-    }
 };
 
 /** The tracker. All hooks are cheap; none allocates after setup. */
@@ -174,16 +163,6 @@ class Tracer
 
     /** Tick the current measurement interval started at. */
     Tick measureStart() const { return measureStart_; }
-
-    /**
-     * Fold another tracer's record into this one (sharded runs keep
-     * one tracer per shard and merge at the end). Aggregates add;
-     * the two event rings are combined and re-sorted by start tick
-     * so the export reads like one machine-wide timeline. The merge
-     * order is deterministic for a given shard count. @p other is
-     * left in an unspecified drained state.
-     */
-    void absorb(Tracer &other);
 
     /** Feed the buffered events and aggregates through @p sink. */
     void exportTo(TraceSink &sink, Tick now) const;

@@ -25,6 +25,7 @@
 
 #include "serve/http.hh"
 #include "serve/json_in.hh"
+#include "sim/logging.hh"
 
 namespace
 {
@@ -152,8 +153,13 @@ main(int argc, char **argv)
     std::uint16_t port = 8920;
     int i = 1;
     if (i + 1 < argc && std::strcmp(argv[i], "--port") == 0) {
-        port = static_cast<std::uint16_t>(
-            std::strtoul(argv[i + 1], nullptr, 0));
+        auto v = ccnuma::parseDecimal(argv[i + 1], 1, 65535);
+        if (!v) {
+            std::fprintf(stderr, "--port %s: expected an integer from "
+                         "1 to 65535\n", argv[i + 1]);
+            return 2;
+        }
+        port = static_cast<std::uint16_t>(*v);
         i += 2;
     }
     if (i >= argc) {

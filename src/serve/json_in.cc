@@ -25,19 +25,52 @@ JsonValue::asDouble() const
     return number;
 }
 
+namespace
+{
+
+/**
+ * The integer @p v holds, checked to lie in [lo, hi) before any cast
+ * (a float-to-integer cast of an out-of-range value is undefined
+ * behaviour). @p lo and @p hi are powers of two or zero, so exact as
+ * doubles; @p range names the bounds in the error.
+ */
+double
+checkedInteger(const JsonValue &v, double lo, double hi,
+               const char *range)
+{
+    if (v.type != JsonValue::Type::Number)
+        throw JsonError("expected a number");
+    if (!std::isfinite(v.number) || std::floor(v.number) != v.number)
+        throw JsonError("expected an integer");
+    if (v.number < lo || v.number >= hi)
+        throw JsonError(std::string("integer out of range (") + range +
+                        ")");
+    return v.number;
+}
+
+} // namespace
+
 std::uint64_t
 JsonValue::asU64() const
 {
-    if (type != Type::Number)
-        throw JsonError("expected a number");
-    if (!std::isfinite(number) || number < 0 ||
-        std::floor(number) != number)
-        throw JsonError("expected a non-negative integer");
-    // 2^64 is exact as a double; casting it or anything above it to
-    // uint64_t is undefined behaviour.
-    if (number >= 18446744073709551616.0)
-        throw JsonError("integer out of range (at most 2^64 - 1)");
-    return static_cast<std::uint64_t>(number);
+    return static_cast<std::uint64_t>(
+        checkedInteger(*this, 0.0, 18446744073709551616.0,
+                       "0 to 2^64 - 1"));
+}
+
+unsigned
+JsonValue::asU32() const
+{
+    return static_cast<unsigned>(
+        checkedInteger(*this, 0.0, 4294967296.0, "0 to 2^32 - 1"));
+}
+
+std::int64_t
+JsonValue::asI64() const
+{
+    return static_cast<std::int64_t>(
+        checkedInteger(*this, -9223372036854775808.0,
+                       9223372036854775808.0, "-2^63 to 2^63 - 1"));
 }
 
 const std::string &
@@ -60,6 +93,20 @@ JsonValue::getU64(std::string_view key, std::uint64_t def) const
 {
     const JsonValue *v = get(key);
     return v ? v->asU64() : def;
+}
+
+unsigned
+JsonValue::getU32(std::string_view key, unsigned def) const
+{
+    const JsonValue *v = get(key);
+    return v ? v->asU32() : def;
+}
+
+std::int64_t
+JsonValue::getI64(std::string_view key, std::int64_t def) const
+{
+    const JsonValue *v = get(key);
+    return v ? v->asI64() : def;
 }
 
 bool

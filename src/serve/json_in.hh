@@ -77,19 +77,24 @@ class JsonValue
     }
 
     /**
-     * Typed accessors; throw JsonError on a type mismatch. asU64
-     * also throws on a fractional, negative, non-finite, or >= 2^64
-     * number.
+     * Typed accessors; throw JsonError on a type mismatch. The
+     * integer accessors also throw on a fractional or non-finite
+     * number and on one outside their range: asU64 [0, 2^64),
+     * asU32 [0, 2^32), asI64 [-2^63, 2^63).
      */
     bool asBool() const;
     double asDouble() const;
     std::uint64_t asU64() const;
+    unsigned asU32() const;
+    std::int64_t asI64() const;
     const std::string &asString() const;
 
     /** Member with a default when absent (throws on wrong type). */
     double getDouble(std::string_view key, double def) const;
     std::uint64_t getU64(std::string_view key,
                          std::uint64_t def) const;
+    unsigned getU32(std::string_view key, unsigned def) const;
+    std::int64_t getI64(std::string_view key, std::int64_t def) const;
     bool getBool(std::string_view key, bool def) const;
     std::string getString(std::string_view key,
                           const std::string &def) const;

@@ -113,13 +113,10 @@ resultFromJson(const JsonValue &v)
 #define R_DBL(f) r.f = v.getDouble(#f, 0.0);
     CCNUMA_RUNRESULT_DOUBLE_FIELDS(R_DBL)
 #undef R_DBL
-    if (const JsonValue *e = v.get("escapedCorruptions"))
-        r.escapedCorruptions =
-            static_cast<std::int64_t>(e->asDouble());
+    r.escapedCorruptions = v.getI64("escapedCorruptions", 0);
     r.completed = v.getBool("completed", false);
-    r.shardsRequested =
-        static_cast<unsigned>(v.getU64("shardsRequested", 1));
-    r.shardsUsed = static_cast<unsigned>(v.getU64("shardsUsed", 1));
+    r.shardsRequested = v.getU32("shardsRequested", 1);
+    r.shardsUsed = v.getU32("shardsUsed", 1);
     r.shardFallback = v.getString("shardFallback", "");
     r.windowsRun = v.getU64("windowsRun", 0);
     r.windowsWidened = v.getU64("windowsWidened", 0);

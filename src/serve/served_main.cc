@@ -9,9 +9,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 
 #include "serve/server.hh"
+#include "sim/logging.hh"
 
 namespace
 {
@@ -43,24 +45,36 @@ main(int argc, char **argv)
     ServiceConfig cfg;
     cfg.port = 8920;
 
-    auto num = [&](int &i) -> std::uint64_t {
+    // Every numeric flag is a plain decimal integer in [lo, hi];
+    // anything else exits 2 with a one-line reason.
+    auto num = [&](int &i, std::uint64_t lo,
+                   std::uint64_t hi = std::numeric_limits<unsigned>::max())
+        -> std::uint64_t {
         if (i + 1 >= argc) {
             std::fprintf(stderr, "%s needs a value\n", argv[i]);
             std::exit(2);
         }
-        return std::strtoull(argv[++i], nullptr, 0);
+        const char *flag = argv[i];
+        const char *text = argv[++i];
+        if (auto v = ccnuma::parseDecimal(text, lo, hi))
+            return *v;
+        std::fprintf(stderr, "%s %s: expected an integer from %llu to "
+                     "%llu\n", flag, text, (unsigned long long)lo,
+                     (unsigned long long)hi);
+        std::exit(2);
     };
 
     for (int i = 1; i < argc; ++i) {
         std::string a = argv[i];
         if (a == "--port") {
-            cfg.port = static_cast<std::uint16_t>(num(i));
+            cfg.port = static_cast<std::uint16_t>(
+                num(i, 0, std::numeric_limits<std::uint16_t>::max()));
         } else if (a == "--exec") {
-            cfg.execThreads = static_cast<unsigned>(num(i));
+            cfg.execThreads = static_cast<unsigned>(num(i, 1));
         } else if (a == "--jobs") {
-            cfg.pointJobs = static_cast<unsigned>(num(i));
+            cfg.pointJobs = static_cast<unsigned>(num(i, 1));
         } else if (a == "--queue") {
-            cfg.maxQueued = static_cast<unsigned>(num(i));
+            cfg.maxQueued = static_cast<unsigned>(num(i, 1));
         } else if (a == "--discipline") {
             if (i + 1 >= argc) {
                 std::fprintf(stderr, "--discipline needs a value\n");
@@ -79,7 +93,7 @@ main(int argc, char **argv)
                 return 2;
             }
         } else if (a == "--cache-mb") {
-            cfg.cacheBytes = num(i) << 20;
+            cfg.cacheBytes = num(i, 0) << 20;
         } else if (a == "--persist") {
             if (i + 1 >= argc) {
                 std::fprintf(stderr, "--persist needs a value\n");
@@ -88,7 +102,7 @@ main(int argc, char **argv)
             cfg.persistDir = argv[++i];
         } else if (a == "--max-points") {
             cfg.maxPointsPerCampaign =
-                static_cast<std::size_t>(num(i));
+                static_cast<std::size_t>(num(i, 1));
         } else if (a == "--help" || a == "-h") {
             usage(argv[0]);
             return 0;

@@ -1,7 +1,7 @@
 #include "sim/logging.hh"
 
-#include <cctype>
-#include <cerrno>
+#include <charconv>
+#include <cmath>
 #include <cstdarg>
 #include <cstdlib>
 #include <vector>
@@ -32,18 +32,40 @@ format(const char *fmt, ...)
 
 } // namespace logging_detail
 
+std::optional<std::uint64_t>
+parseDecimal(std::string_view text, std::uint64_t lo, std::uint64_t hi)
+{
+    // from_chars takes no sign, blank or base prefix for an unsigned
+    // type and reports overflow instead of wrapping.
+    std::uint64_t v = 0;
+    const char *end = text.data() + text.size();
+    auto [ptr, ec] = std::from_chars(text.data(), end, v);
+    if (ec != std::errc() || ptr != end || v < lo || v > hi)
+        return std::nullopt;
+    return v;
+}
+
+std::optional<double>
+parsePositiveReal(std::string_view text)
+{
+    // from_chars takes no blank or '+'; a leading '-' parses but
+    // fails the > 0 check, as "inf" and "nan" fail isfinite.
+    double v = 0.0;
+    const char *end = text.data() + text.size();
+    auto [ptr, ec] = std::from_chars(text.data(), end, v);
+    if (ec != std::errc() || ptr != end || !std::isfinite(v) || v <= 0.0)
+        return std::nullopt;
+    return v;
+}
+
 bool
 envPositiveInt(const char *name, std::uint64_t &value)
 {
     const char *env = std::getenv(name);
     if (env == nullptr)
         return false;
-    char *end = nullptr;
-    errno = 0;
-    unsigned long long v = std::strtoull(env, &end, 10);
-    if (std::isdigit(static_cast<unsigned char>(env[0])) &&
-        *end == '\0' && errno == 0 && v >= 1) {
-        value = v;
+    if (auto v = parseDecimal(env, 1)) {
+        value = *v;
         return true;
     }
     warn("%s=%s not recognized (use a positive integer); it stays "

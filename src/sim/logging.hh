@@ -11,8 +11,11 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
+#include <optional>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 namespace ccnuma
 {
@@ -74,6 +77,24 @@ inform(const char *fmt, Args... args)
     std::fprintf(stdout, "info: %s\n",
                  logging_detail::format(fmt, args...).c_str());
 }
+
+/**
+ * Parse @p text as a plain decimal integer in [@p lo, @p hi]. Digits
+ * only: a sign, blank, suffix or empty string is rejected, and so is
+ * a value outside the range. The one checked parser behind every
+ * numeric environment knob and command-line flag.
+ * @return the value, or nullopt when rejected
+ */
+std::optional<std::uint64_t>
+parseDecimal(std::string_view text, std::uint64_t lo = 0,
+             std::uint64_t hi = std::numeric_limits<std::uint64_t>::max());
+
+/**
+ * Parse @p text as a finite number above zero ("0.25", "1e-2"); a
+ * sign, blank, suffix, "inf", "nan" or zero is rejected.
+ * @return the value, or nullopt when rejected
+ */
+std::optional<double> parsePositiveReal(std::string_view text);
 
 /**
  * Read the positive-integer environment knob @p name into @p value.

@@ -18,6 +18,7 @@
 #ifndef CCNUMA_SIM_PARALLEL_HH
 #define CCNUMA_SIM_PARALLEL_HH
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
@@ -86,13 +87,13 @@ parallelForIndex(unsigned jobs, std::size_t n, Fn &&fn)
             fn(i);
         return;
     }
-    ThreadPool pool(jobs);
+    // One worker per index at most: a worker with nothing to take
+    // would only be started and joined.
+    ThreadPool pool(static_cast<unsigned>(std::min<std::size_t>(jobs, n)));
     std::atomic<std::size_t> next{0};
     std::mutex emu;
     std::exception_ptr first;
-    unsigned spawn = static_cast<unsigned>(
-        std::min<std::size_t>(pool.jobs(), n));
-    for (unsigned w = 0; w < spawn; ++w) {
+    for (unsigned w = 0; w < pool.jobs(); ++w) {
         pool.post([&] {
             while (true) {
                 std::size_t i =

@@ -3,10 +3,11 @@
  * Intra-machine sharded simulation support.
  *
  * A Machine can run on one event queue (serial) or on several, one
- * per shard of SMP nodes, advanced in lock-step conservative windows:
- * nodes interact only through the point-to-point network, whose
- * minimum end-to-end latency (serialization + flight) bounds how far
- * any shard can safely run ahead of the others. ShardMap is the
+ * per shard of SMP nodes, advanced in conservative windows: nodes
+ * interact only through the point-to-point network, whose minimum
+ * end-to-end latency (serialization + flight) bounds how far any
+ * shard can safely run ahead of the others (further only while its
+ * peers are provably quiet; see Machine::runWindows). ShardMap is the
  * routing table from node to owning queue plus the deterministic
  * context numbering shared by the serial and sharded paths; ShardTeam
  * is the pool of persistent worker threads that execute one window

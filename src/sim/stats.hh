@@ -173,19 +173,6 @@ class Distribution : public Stat
     double p90() const { return quantile(0.90); }
     double p99() const { return quantile(0.99); }
 
-    /** Fold another distribution in (bucket-wise; same geometry). */
-    void
-    merge(const Distribution &o)
-    {
-        ccnuma_assert(bucketSize_ == o.bucketSize_ &&
-                      buckets_.size() == o.buckets_.size());
-        avg_.merge(o.avg_);
-        underflow_ += o.underflow_;
-        overflow_ += o.overflow_;
-        for (std::size_t i = 0; i < buckets_.size(); ++i)
-            buckets_[i] += o.buckets_[i];
-    }
-
     void reset() override;
     void print(std::ostream &os,
                const std::string &prefix) const override;

@@ -143,6 +143,28 @@ MachineConfig::withEnvOverrides()
                  env);
         }
     }
+    // CCNUMA_TRACE force-enables the observability subsystem and the
+    // CCNUMA_TRACE_* knobs tune it. Tracing never changes a result,
+    // but it does pick the scheduler (see shardPlan()), so it is read
+    // here, before anyone plans.
+    if (const char *env = std::getenv("CCNUMA_TRACE")) {
+        if (!std::strcmp(env, "1") || !std::strcmp(env, "on")) {
+            obs.enabled = true;
+        } else if (std::strcmp(env, "0") && std::strcmp(env, "off")) {
+            warn("CCNUMA_TRACE=%s not recognized (use 1|on|0|off); "
+                 "tracing stays off", env);
+        }
+    }
+    if (obs.enabled) {
+        if (const char *env = std::getenv("CCNUMA_TRACE_FILE"))
+            obs.chromeTraceFile = env;
+        if (const char *env = std::getenv("CCNUMA_TRACE_METRICS"))
+            obs.metricsFile = env;
+        envPositiveInt("CCNUMA_TRACE_SAMPLE", obs.sampleEvery);
+        std::uint64_t ring = obs.ringCapacity;
+        if (envPositiveInt("CCNUMA_TRACE_RING", ring))
+            obs.ringCapacity = static_cast<std::size_t>(ring);
+    }
     return *this;
 }
 
@@ -175,13 +197,26 @@ MachineConfig::shardPlan() const
             p.fallback = "the lookahead window is empty (network "
                          "minimum latency and sync hand-off leave no "
                          "safe slack)";
+        } else if (obs.enabled) {
+            // Diagnostic fallbacks (this and the next): one tracer and
+            // one watchdog see the whole machine from one queue.
+            // Deferred grants keep the run the sharded run's serial
+            // oracle, so only the wall clock changes.
+            p.fallback = "tracing records the whole machine in one "
+                         "tracer (grants stay deferred: results are "
+                         "the sharded run's)";
+            p.deferredGrants = true;
+        } else if (verify.watchdog) {
+            p.fallback = "the hang watchdog checks progress from one "
+                         "queue (grants stay deferred: results are "
+                         "the sharded run's)";
+            p.deferredGrants = true;
         } else {
             p.shards = shards;
             p.lookahead = lookahead;
-            p.adaptiveWindows = !verify.watchdog;
         }
     }
-    p.deferredGrants = p.shards > 1 || forceSyncDefer;
+    p.deferredGrants = p.deferredGrants || p.shards > 1 || forceSyncDefer;
     return p;
 }
 

@@ -33,9 +33,10 @@ const char *archName(Arch a);
 
 /**
  * The scheduler a configuration runs under, decided once by
- * MachineConfig::shardPlan(). Machine builds its queues from it and
- * the result-cache key reads its grant deferral, so the two can never
- * disagree about which scheduler ran.
+ * MachineConfig::shardPlan(). Machine builds its queues and sets its
+ * sync manager's grant deferral from it, and the result-cache key
+ * reads the same deferral, so the two can never disagree about which
+ * scheduler ran.
  */
 struct ShardPlan
 {
@@ -47,9 +48,6 @@ struct ShardPlan
     const char *fallback = nullptr;
     /** Sync grants take the deferred (sharded) path. */
     bool deferredGrants = false;
-    /** Adaptive windows; false runs lock-step windows, which only the
-     *  hang watchdog needs (it polls at every window barrier). */
-    bool adaptiveWindows = false;
 };
 
 /** Full machine configuration. */
@@ -80,9 +78,10 @@ struct MachineConfig
      * simulation. 1 = the classic serial scheduler; k > 1 partitions
      * the nodes over k queues advanced in adaptive windows, with
      * results bit-identical to serial. numNodes must divide evenly.
-     * Some configurations cannot shard and run serially instead (see
-     * shardPlan()). The CCNUMA_SHARDS environment variable overrides
-     * without a config change.
+     * Some configurations cannot shard and run serially instead;
+     * traced and watchdog-armed ones keep the sharded grant timing
+     * while doing so (see shardPlan()). The CCNUMA_SHARDS environment
+     * variable overrides without a config change.
      */
     unsigned shards = 1;
     /**
@@ -101,7 +100,8 @@ struct MachineConfig
      * Verification subsystem (invariant checker, fault injector,
      * hang watchdog); everything off by default. The CCNUMA_VERIFY
      * environment variable (checker|watchdog|all|1) force-enables
-     * the checker and/or watchdog without a config change.
+     * the checker and/or watchdog without a config change. Either
+     * one makes a sharded request run serially (see shardPlan()).
      */
     VerifyConfig verify;
 
@@ -140,7 +140,9 @@ struct MachineConfig
     /**
      * Observability subsystem (per-request tracing, occupancy
      * timelines, Chrome-trace and metrics export); off by default so
-     * paper-fidelity timing and output are untouched. The
+     * paper-fidelity timing and output are untouched. One tracer
+     * watches the whole machine, so a traced sharded request runs
+     * serially with deferred grants (see shardPlan()). The
      * CCNUMA_TRACE environment variable (1|on) force-enables it
      * without a config change; see obs/obs_config.hh for the
      * companion CCNUMA_TRACE_* tuning knobs.
@@ -182,12 +184,14 @@ struct MachineConfig
     MachineConfig &withIntegrity();
 
     /**
-     * Apply the CCNUMA_* environment overrides that change what a run
-     * computes: CCNUMA_RELIABLE, _RECOVERY, _INTEGRITY, _SHARDS,
-     * _MAX_TICKS, _SYNC_DEFER and _VERIFY. Idempotent.
-     * Machine's constructor applies them, and so does
-     * serve::makeSimPoint, so that a point's result-cache key is taken
-     * from the configuration that actually runs.
+     * Apply the CCNUMA_* environment overrides: CCNUMA_RELIABLE,
+     * _RECOVERY, _INTEGRITY, _SHARDS, _MAX_TICKS, _SYNC_DEFER and
+     * _VERIFY, which change what a run computes, and CCNUMA_TRACE
+     * with its _FILE, _METRICS, _SAMPLE and _RING companions, which
+     * change how it is scheduled. Idempotent. Machine's constructor
+     * applies them, and so does serve::makeSimPoint, so that a
+     * point's result-cache key and shard plan are taken from the
+     * configuration that actually runs.
      */
     MachineConfig &withEnvOverrides();
 
@@ -200,13 +204,19 @@ struct MachineConfig
     void validate() const;
 
     /**
-     * The scheduler this configuration runs under. Sharding falls
-     * back to serial when the invariant checker is on, placement is
-     * first-touch, crashes or bit flips are scheduled, or the
-     * lookahead window, min(network minimum latency, sync hand-off),
-     * is empty. Grants are deferred when shards remain or
-     * forceSyncDefer is set; windows are adaptive unless the hang
-     * watchdog is armed.
+     * The scheduler this configuration runs under. A sharded request
+     * falls back to serial for one of two kinds of reason:
+     *  - result-changing: the invariant checker is on, placement is
+     *    first-touch, crashes or bit flips are scheduled, or the
+     *    lookahead window, min(network minimum latency, sync
+     *    hand-off), is empty. The run is the plain serial run, with
+     *    undeferred grants unless forceSyncDefer is set.
+     *  - diagnostic: tracing or the hang watchdog is on. The run keeps
+     *    deferred grants, so it is the forceSyncDefer serial oracle
+     *    and computes exactly what the sharded run would.
+     * A result-changing reason wins when both apply. Grants are
+     * deferred when shards remain, a diagnostic fallback applies, or
+     * forceSyncDefer is set.
      */
     ShardPlan shardPlan() const;
 

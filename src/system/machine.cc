@@ -1,8 +1,6 @@
 #include "system/machine.hh"
 
 #include <algorithm>
-#include <cstdlib>
-#include <cstring>
 #include <iostream>
 
 #include "net/reliable.hh"
@@ -19,9 +17,9 @@ namespace ccnuma
 Machine::Machine(const MachineConfig &cfg)
     : cfg_(cfg), map_(cfg.numNodes, cfg.pageBytes)
 {
-    // The CCNUMA_* environment knobs. Must happen before node
-    // construction: the nodes copy their controller retry policy and
-    // recovery knobs out of cfg_.
+    // The CCNUMA_* environment knobs. Must happen before planning
+    // and node construction: the nodes copy their controller retry
+    // policy and recovery knobs out of cfg_.
     cfg_.withEnvOverrides();
     // Recovery knobs reach the node components through the config:
     // the controllers copy their CcParams and the cache units their
@@ -54,7 +52,6 @@ Machine::Machine(const MachineConfig &cfg)
     }
     cfg_.shards = plan.shards;
     lookahead_ = plan.lookahead;
-    adaptiveActive_ = plan.adaptiveWindows;
 
     for (unsigned s = 0; s < cfg_.shards; ++s)
         queues_.push_back(std::make_unique<EventQueue>());
@@ -74,7 +71,7 @@ Machine::Machine(const MachineConfig &cfg)
     sync_ = std::make_unique<SyncManager>(
         "sync", shardMap_, cfg_.syncBase, cfg_.node.bus.lineBytes);
     sync_->setHandoffTicks(cfg_.syncHandoffTicks);
-    sync_->setForceDefer(cfg_.forceSyncDefer);
+    sync_->setForceDefer(plan.deferredGrants);
     if (cfg_.reliable.enabled) {
         xport_ = std::make_unique<ReliableTransport>(
             "xport", shardMap_, *net_, cfg_.reliable,
@@ -148,26 +145,9 @@ Machine::Machine(const MachineConfig &cfg)
         recovery_->arm();
     }
     // Observability subsystem (off by default; see DESIGN.md). The
-    // CCNUMA_TRACE environment knob force-enables tracing without a
-    // config change; the CCNUMA_TRACE_* knobs tune it.
-    if (const char *env = std::getenv("CCNUMA_TRACE")) {
-        if (!std::strcmp(env, "1") || !std::strcmp(env, "on")) {
-            cfg_.obs.enabled = true;
-        } else if (std::strcmp(env, "0") && std::strcmp(env, "off")) {
-            warn("CCNUMA_TRACE=%s not recognized (use 1|on|0|off); "
-                 "tracing stays off", env);
-        }
-    }
+    // plan keeps a traced machine on one queue, so one tracer sees
+    // every hook.
     if (cfg_.obs.enabled) {
-        if (const char *env = std::getenv("CCNUMA_TRACE_FILE"))
-            cfg_.obs.chromeTraceFile = env;
-        if (const char *env = std::getenv("CCNUMA_TRACE_METRICS"))
-            cfg_.obs.metricsFile = env;
-        envPositiveInt("CCNUMA_TRACE_SAMPLE", cfg_.obs.sampleEvery);
-        std::uint64_t ring = cfg_.obs.ringCapacity;
-        if (envPositiveInt("CCNUMA_TRACE_RING", ring))
-            cfg_.obs.ringCapacity = static_cast<std::size_t>(ring);
-
         obs::TracerContext tc;
         tc.numNodes = cfg_.numNodes;
         tc.procsPerNode = cfg_.node.procsPerNode;
@@ -175,20 +155,12 @@ Machine::Machine(const MachineConfig &cfg)
         tc.lineBytes = cfg_.node.bus.lineBytes;
         tc.engineType = cfg_.node.cc.engineType;
         tc.homeOf = [this](Addr a) { return map_.homeOf(a); };
-        // One tracer per shard so hooks record without locking; a
-        // sharded run merges them into tracers_[0] at the end.
-        for (unsigned s = 0; s < cfg_.shards; ++s)
-            tracers_.push_back(
-                std::make_unique<obs::Tracer>(cfg_.obs, tc));
-        pendingNotes_.resize(cfg_.shards);
-        std::vector<obs::Tracer *> per_node(cfg_.numNodes);
-        for (NodeId n = 0; n < cfg_.numNodes; ++n)
-            per_node[n] = tracers_[shardMap_.shardOf(n)].get();
-        net_->setTracers(per_node);
+        tracer_ = std::make_unique<obs::Tracer>(cfg_.obs, tc);
+        obs::Tracer *t = tracer_.get();
+        net_->setTracer(t);
         if (xport_)
-            xport_->setTracers(per_node);
+            xport_->setTracer(t);
         for (auto &nd : nodes_) {
-            obs::Tracer *t = per_node[nd->id()];
             nd->cc().setTracer(t);
             nd->bus().setTracer(t, nd->id());
             for (unsigned i = 0; i < nd->numProcs(); ++i)
@@ -245,12 +217,12 @@ Machine::Machine(const MachineConfig &cfg)
             [this](std::ostream &os) { dumpDiagnostics(os); });
     }
 
-    if (adaptiveActive_) {
+    if (shardMap_.sharded()) {
         // A widened shard's clock may only outrun a peer when that
         // peer provably cannot act; its own sends and sync posts are
-        // the loopholes, closed by these self-clamps (DESIGN.md §19).
+        // the loopholes, closed by self-clamps (DESIGN.md §19). The
+        // sync manager clamps every sharded post by itself.
         net_->setSendClampMargin(lookahead_);
-        sync_->setAdaptiveWindows(true);
     }
 }
 
@@ -268,18 +240,8 @@ Machine::deliverMsg(const Msg &msg)
 {
     if (checker_ && !checker_->noteDeliver(msg))
         return; // detected injected fault; delivery swallowed
-    if (!tracers_.empty()) {
-        // Classification must see the delivery on every shard whose
-        // procs might have the line's miss open. The destination's
-        // own shard observes it inline (its miss may restart within
-        // this window); the others at the window barrier — safe,
-        // because a cross-shard-flagged miss cannot restart sooner
-        // than a full network flight, i.e. not inside this window.
-        unsigned s = shardMap_.shardOf(msg.dst);
-        tracers_[s]->noteDeliver(msg);
-        if (shardMap_.sharded())
-            pendingNotes_[s].push_back(msg);
-    }
+    if (tracer_)
+        tracer_->noteDeliver(msg);
     nodes_.at(msg.dst)->cc().netReceive(msg);
 }
 
@@ -309,17 +271,14 @@ Machine::dumpDiagnostics(std::ostream &os)
     os << "pending events: " << pending << "\n";
     // Shard-aware scheduler state: when a sharded run hangs, the
     // per-shard clocks and event horizons show which queue stalled
-    // the lock-step window barrier.
+    // the window barrier.
     os << "scheduler: " << shardMap_.numShards << " shard(s)";
     if (shardsRequested_ != shardMap_.numShards) {
         os << " (requested " << shardsRequested_ << "; fallback: "
            << fallbackReason_ << ")";
     }
-    if (shardMap_.sharded()) {
-        os << ", lookahead window " << lookahead_ << " ticks, "
-           << (adaptiveActive_ ? "adaptive" : "lock-step")
-           << " windows";
-    }
+    if (shardMap_.sharded())
+        os << ", lookahead window " << lookahead_ << " ticks";
     os << "\n";
     for (unsigned s = 0; s < queues_.size(); ++s) {
         os << "  shard " << s << ": tick " << queues_[s]->curTick()
@@ -434,91 +393,62 @@ Machine::runWindows(const std::function<bool()> &done, Tick limit)
         Tick end = limit < maxTick - 1 ? limit + 1 : maxTick;
         Tick cons = end - t0 > lookahead_ ? t0 + lookahead_ : end;
         ++windowsRun_;
+        // Per-shard window ends: shard s may not outrun the earliest
+        // event of any *other non-empty* shard — the only peers able
+        // to originate cross-shard traffic this window — nor the
+        // earliest deferred sync operation, by more than the
+        // conservative lookahead. An empty peer is provably quiet:
+        // mailboxes drain only at barriers, so it cannot act before
+        // the next planning step sees whatever woke it, and the
+        // sender's own self-clamps (network send, sync post) keep this
+        // shard's clock below any reply such a wake could produce. A
+        // shard whose peers are all empty therefore saturates to the
+        // run limit and executes at full serial speed until traffic
+        // appears.
         bool widened = false;
-        if (adaptiveActive_) {
-            // Per-shard window ends: shard s may not outrun the
-            // earliest event of any *other non-empty* shard — the
-            // only peers able to originate cross-shard traffic this
-            // window — nor the earliest deferred sync operation, by
-            // more than the conservative lookahead. An empty peer is
-            // provably quiet: mailboxes drain only at barriers, so it
-            // cannot act before the next planning step sees whatever
-            // woke it, and the sender's own self-clamps (network send,
-            // sync post) keep this shard's clock below any reply such
-            // a wake could produce. A shard whose peers are all empty
-            // therefore saturates to the run limit and executes at
-            // full serial speed until traffic appears.
-            Tick sync_min = sync_->pendingMinWhen();
-            for (unsigned s = 0; s < S; ++s)
-                nws[s] = queues_[s]->nextWhen();
-            for (unsigned s = 0; s < S; ++s) {
-                Tick bound = sync_min;
-                for (unsigned o = 0; o < S; ++o) {
-                    if (o != s && nws[o] != maxTick)
-                        bound = std::min(bound, nws[o]);
-                }
-                // No clamp up to the conservative end: a deferred
-                // sync operation older than t0 must keep every
-                // window at or below its grant tick.
-                Tick t1 = bound >= end || end - bound <= lookahead_
-                              ? end
-                              : bound + lookahead_;
-                if (t1 > cons)
-                    widened = true;
-                ends[s] = t1;
+        Tick sync_min = sync_->pendingMinWhen();
+        for (unsigned s = 0; s < S; ++s)
+            nws[s] = queues_[s]->nextWhen();
+        for (unsigned s = 0; s < S; ++s) {
+            Tick bound = sync_min;
+            for (unsigned o = 0; o < S; ++o) {
+                if (o != s && nws[o] != maxTick)
+                    bound = std::min(bound, nws[o]);
             }
-        } else {
-            for (unsigned s = 0; s < S; ++s)
-                ends[s] = cons;
+            // No clamp up to the conservative end: a deferred sync
+            // operation older than t0 must keep every window at or
+            // below its grant tick.
+            Tick t1 = bound >= end || end - bound <= lookahead_
+                          ? end
+                          : bound + lookahead_;
+            if (t1 > cons)
+                widened = true;
+            ends[s] = t1;
         }
         if (widened)
             ++windowsWidened_;
-        else if (adaptiveActive_)
+        else
             ++windowFallbacks_;
         team_->run(
             [this, &ends](unsigned s) { queues_[s]->runWindow(ends[s]); });
-        windowBarrier(*std::max_element(ends.begin(), ends.end()));
+        windowBarrier();
     }
     return true;
 }
 
 void
-Machine::windowBarrier(Tick window_end)
+Machine::windowBarrier()
 {
     // All shard threads are quiescent here; injection order is
     // irrelevant because arrivals and grants carry explicit keys.
     net_->drainMailboxes();
-    // Adaptive windows ran different spans per shard, so only sync
-    // operations every shard has provably passed may be processed
-    // now; the rest stay deferred (they bound the next windows).
-    // Lock-step windows (the watchdog's) all ended together: process
-    // everything, exactly the PR 5 merge.
+    // Windows ran different spans per shard, so only sync operations
+    // every shard has provably passed may be processed now; the rest
+    // stay deferred (they bound the next windows).
     Tick safe = maxTick;
-    if (adaptiveActive_) {
-        for (auto &q : queues_)
-            safe = std::min(safe, q->nextWhen());
-    }
+    for (auto &q : queues_)
+        safe = std::min(safe, q->nextWhen());
     sync_->processPending(safe);
-    if (!tracers_.empty()) {
-        for (unsigned s = 0; s < pendingNotes_.size(); ++s) {
-            for (const Msg &m : pendingNotes_[s]) {
-                for (unsigned t = 0; t < tracers_.size(); ++t) {
-                    if (t != s)
-                        tracers_[t]->noteDeliver(m);
-                }
-            }
-            pendingNotes_[s].clear();
-        }
-    }
-    if (watchdog_)
-        watchdog_->poll(window_end - 1);
-}
-
-void
-Machine::mergeTracers()
-{
-    for (std::size_t s = 1; s < tracers_.size(); ++s)
-        tracers_[0]->absorb(*tracers_[s]);
 }
 
 RunResult
@@ -562,8 +492,6 @@ Machine::run(Workload &w, bool check)
     const Tick limit = cfg_.maxTicks;
     bool done;
     if (shardMap_.sharded()) {
-        if (watchdog_)
-            watchdog_->armPolled(0);
         done = runWindows(
             [this, n] {
                 return finishedProcs_.load(
@@ -571,6 +499,8 @@ Machine::run(Workload &w, bool check)
             },
             limit);
     } else {
+        // The watchdog schedules its checks on this one queue; the
+        // plan never shards a watched machine.
         if (watchdog_)
             watchdog_->arm();
         if (checker_) {
@@ -593,8 +523,7 @@ Machine::run(Workload &w, bool check)
     if (checker_ && checker_->shouldHalt()) {
         // An injected fault was detected; the protocol state is no
         // longer trustworthy, so skip the drain and the idle checks
-        // and return a partial result. (The checker forces the
-        // serial scheduler, so no merge is needed here.)
+        // and return a partial result.
         warn("run of %s halted after %llu injected-fault "
              "detection(s)", w.name().c_str(),
              (unsigned long long)checker_->violations());
@@ -607,10 +536,8 @@ Machine::run(Workload &w, bool check)
         r.shardsUsed = shardMap_.numShards;
         r.shardFallback = fallbackReason_;
         fillRecoveryStats(r);
-        if (!tracers_.empty()) {
-            mergeTracers();
-            tracers_[0]->exportAll(now());
-        }
+        if (tracer_)
+            tracer_->exportAll(now());
         return r;
     }
     if (!done) {
@@ -710,10 +637,8 @@ Machine::run(Workload &w, bool check)
     r.windowFallbacks = windowFallbacks_;
     for (auto &q : queues_)
         r.syncWindowStops += q->windowClamps();
-    if (!tracers_.empty()) {
-        mergeTracers();
-        tracers_[0]->exportAll(now());
-    }
+    if (tracer_)
+        tracer_->exportAll(now());
     return r;
 }
 
@@ -735,8 +660,8 @@ Machine::resetStats()
             nd->cacheUnit(i).statGroup().resetAll();
         }
     }
-    for (auto &t : tracers_)
-        t->reset(now());
+    if (tracer_)
+        tracer_->reset(now());
 }
 
 void
@@ -841,8 +766,8 @@ Machine::printStats(std::ostream &os)
         xport_->syncStats();
         xport_->statGroup().print(os);
     }
-    if (!tracers_.empty())
-        tracers_[0]->statGroup().print(os);
+    if (tracer_)
+        tracer_->statGroup().print(os);
     sync_->statGroup().print(os);
     for (auto &nd : nodes_) {
         nd->bus().statGroup().print(os);

@@ -106,11 +106,12 @@ struct RunResult
     // execution-strategy metadata excluded from resultsIdentical().
     // Counters are zero when shardsUsed == 1. ---
     std::uint64_t windowsRun = 0;     ///< scheduler windows executed
-    /** Windows where at least one shard ran past the lock-step end
-     *  (counted, never silent — same rule as shard fallbacks). */
+    /** Windows where at least one shard ran past the conservative
+     *  end, t0 + lookahead (counted, never silent — same rule as
+     *  shard fallbacks). */
     std::uint64_t windowsWidened = 0;
-    /** Adaptive windows held to the lock-step end by cross-shard
-     *  traffic or deferred sync operations. */
+    /** Windows held to the conservative end by cross-shard traffic
+     *  or deferred sync operations. */
     std::uint64_t windowFallbacks = 0;
     /** Windows cut short early by a sync post's self-grant clamp. */
     std::uint64_t syncWindowStops = 0;
@@ -185,14 +186,10 @@ class Machine : public MsgRouter
     IntegrityManager *integrityManager() { return integrity_.get(); }
 
     /**
-     * The observability tracer (null unless tracing is enabled).
-     * Sharded runs keep one tracer per shard; this is shard 0's, the
-     * one the end-of-run merge folds the others into.
+     * The observability tracer (null unless tracing is enabled). One
+     * per machine: tracing keeps a run on one queue (shardPlan()).
      */
-    obs::Tracer *tracer()
-    {
-        return tracers_.empty() ? nullptr : tracers_[0].get();
-    }
+    obs::Tracer *tracer() { return tracer_.get(); }
 
     /** Write diagnostic state (controllers, queues, procs) to @p os. */
     void dumpDiagnostics(std::ostream &os);
@@ -233,17 +230,13 @@ class Machine : public MsgRouter
      * @p limit. Each shard's end is bounded by the other shards'
      * earliest events and any deferred sync operations, widening up
      * to the limit when peers are provably quiet (see DESIGN.md §19
-     * for the proof sketch). Under the hang watchdog every shard runs
-     * the same lock-step [t0, t0 + lookahead) span instead.
+     * for the proof sketch).
      * @return true iff @p done became true.
      */
     bool runWindows(const std::function<bool()> &done, Tick limit);
 
-    /** Window-barrier bookkeeping (mailboxes, sync, tracing). */
-    void windowBarrier(Tick window_end);
-
-    /** Fold the sharded tracers into tracer 0 (no-op when serial). */
-    void mergeTracers();
+    /** Window-barrier bookkeeping (mailboxes, sync operations). */
+    void windowBarrier();
 
     MachineConfig cfg_;
     std::vector<std::unique_ptr<EventQueue>> queues_;
@@ -259,10 +252,7 @@ class Machine : public MsgRouter
     std::unique_ptr<RecoveryManager> recovery_;
     std::unique_ptr<IntegrityManager> integrity_;
     std::unique_ptr<HangWatchdog> watchdog_;
-    /** One per shard; merged into [0] at the end of a sharded run. */
-    std::vector<std::unique_ptr<obs::Tracer>> tracers_;
-    /** Per-shard logs of delivered msgs awaiting cross-shard note. */
-    std::vector<std::vector<Msg>> pendingNotes_;
+    std::unique_ptr<obs::Tracer> tracer_;
     /**
      * Monotonic data-version source for the invariant checker,
      * stamped on every store hit and fill. Sharded runs stamp from
@@ -281,8 +271,6 @@ class Machine : public MsgRouter
     Tick lookahead_ = 0;
     unsigned shardsRequested_ = 1;
     std::string fallbackReason_;
-    /** Adaptive windows in effect (ShardPlan::adaptiveWindows). */
-    bool adaptiveActive_ = false;
     std::uint64_t windowsRun_ = 0;
     std::uint64_t windowsWidened_ = 0;
     std::uint64_t windowFallbacks_ = 0;

@@ -28,27 +28,6 @@ HangWatchdog::arm()
 }
 
 void
-HangWatchdog::armPolled(Tick now)
-{
-    ++epoch_;
-    armed_ = true;
-    last_ = progress_();
-    nextDeadline_ = now + budget_;
-}
-
-void
-HangWatchdog::poll(Tick now)
-{
-    if (!armed_ || now < nextDeadline_)
-        return;
-    std::uint64_t cur = progress_();
-    if (cur == last_)
-        fire(now);
-    last_ = cur;
-    nextDeadline_ = now + budget_;
-}
-
-void
 HangWatchdog::disarm()
 {
     armed_ = false;

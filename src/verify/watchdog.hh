@@ -6,6 +6,11 @@
  * dumpState, event-queue depth, stuck processors) to stderr and
  * raises FatalError — turning an infinite-loop failure mode into an
  * actionable report.
+ *
+ * The watchdog is event-driven: it schedules its own checks on one
+ * queue. A watched machine therefore always runs serially (see
+ * MachineConfig::shardPlan()); a sharded request keeps its deferred
+ * grant timing, so watching it changes only the wall clock.
  */
 
 #ifndef CCNUMA_VERIFY_WATCHDOG_HH
@@ -36,23 +41,6 @@ class HangWatchdog
     /** Start (or restart) monitoring from the current tick. */
     void arm();
 
-    /**
-     * Start monitoring in polled mode: no check events are
-     * scheduled; the caller invokes poll() periodically instead.
-     * The sharded scheduler uses this — its window barriers are a
-     * natural polling point, and keeping the watchdog out of the
-     * event queues keeps them bit-identical to a serial run.
-     */
-    void armPolled(Tick now);
-
-    /**
-     * Polled-mode check. Fires the hang diagnostic if a full budget
-     * has elapsed since the last observed progress. @p now may
-     * exceed the deadline by a window's length; that slack only
-     * delays detection, never misses a hang.
-     */
-    void poll(Tick now);
-
     /** Stop monitoring; pending check events become no-ops. */
     void disarm();
 
@@ -70,8 +58,6 @@ class HangWatchdog
     std::uint64_t epoch_ = 0;
     std::uint64_t last_ = 0;
     bool armed_ = false;
-    /** Polled mode only: earliest tick the next poll() may fire at. */
-    Tick nextDeadline_ = 0;
 };
 
 } // namespace ccnuma

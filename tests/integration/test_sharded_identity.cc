@@ -16,10 +16,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "serve/result_io.hh"
 #include "system/machine.hh"
 #include "workload/workload.hh"
 
@@ -81,10 +84,8 @@ class ShardedKernel : public ::testing::TestWithParam<std::string>
 
 TEST_P(ShardedKernel, BitIdenticalAcrossShardCounts)
 {
-    // Both window plans must reproduce the serial run exactly:
-    // lock-step windows (the hang watchdog's) by construction,
-    // adaptive windows because widening is only applied when
-    // cross-shard silence is provable.
+    // Adaptive windows must reproduce the serial run exactly, because
+    // widening is only applied when cross-shard silence is provable.
     for (Arch arch : kArchs) {
         // The serial oracle forces deferred sync grants so it
         // produces the sharded grant timing (serial runs default to
@@ -93,35 +94,24 @@ TEST_P(ShardedKernel, BitIdenticalAcrossShardCounts)
         oracle_cfg.forceSyncDefer = true;
         Snapshot serial = runPoint(oracle_cfg, GetParam());
         ASSERT_GT(serial.instructions, 0u);
-        for (bool watchdog : {false, true}) {
-            for (unsigned shards : kShardCounts) {
-                if (shards == 1)
-                    continue;
-                MachineConfig cfg = shardableConfig(arch, shards);
-                cfg.verify.watchdog = watchdog;
-                Snapshot s = runPoint(cfg, GetParam());
-                SCOPED_TRACE(GetParam() + " on " +
-                             std::string(archName(arch)) + " with " +
-                             std::to_string(shards) + " shards, " +
-                             (watchdog ? "lock-step" : "adaptive") +
-                             " windows");
-                EXPECT_EQ(s.shardsUsed, shards);
-                EXPECT_TRUE(s.fallback.empty()) << s.fallback;
-                EXPECT_EQ(s.instructions, serial.instructions);
-                EXPECT_EQ(s.execTicks, serial.execTicks);
-                EXPECT_EQ(s.stats, serial.stats);
-                EXPECT_GT(s.result.windowsRun, 0u);
-                if (watchdog) {
-                    EXPECT_EQ(s.result.windowsWidened, 0u);
-                    EXPECT_EQ(s.result.windowFallbacks, 0u);
-                } else {
-                    // Every adaptive window is either widened or held
-                    // to the lock-step end.
-                    EXPECT_EQ(s.result.windowsWidened +
-                                  s.result.windowFallbacks,
-                              s.result.windowsRun);
-                }
-            }
+        for (unsigned shards : kShardCounts) {
+            if (shards == 1)
+                continue;
+            Snapshot s = runPoint(shardableConfig(arch, shards),
+                                  GetParam());
+            SCOPED_TRACE(GetParam() + " on " +
+                         std::string(archName(arch)) + " with " +
+                         std::to_string(shards) + " shards");
+            EXPECT_EQ(s.shardsUsed, shards);
+            EXPECT_TRUE(s.fallback.empty()) << s.fallback;
+            EXPECT_EQ(s.instructions, serial.instructions);
+            EXPECT_EQ(s.execTicks, serial.execTicks);
+            EXPECT_EQ(s.stats, serial.stats);
+            EXPECT_GT(s.result.windowsRun, 0u);
+            // Every window is either widened or held to the
+            // conservative end.
+            EXPECT_EQ(s.result.windowsWidened + s.result.windowFallbacks,
+                      s.result.windowsRun);
         }
     }
 }
@@ -131,7 +121,7 @@ TEST(AdaptiveWindows, WideningAndFallbacksAreCounted)
     // The planner's decisions must be observable: a sharded adaptive
     // run reports every window it executed, every window it widened
     // past the conservative end, and every fallback to the floor —
-    // so a planner that silently degrades to always-lock-step is
+    // so a planner that silently degrades to conservative windows is
     // distinguishable from one that works.
     Snapshot a = runPoint(shardableConfig(Arch::PPC, 4), "FFT", 0.05);
     EXPECT_EQ(a.shardsUsed, 4u);
@@ -272,19 +262,96 @@ TEST(ShardedFallback, IntegrityFlipsForceSerial)
     EXPECT_EQ(s.result.windowsRun, 0u);
 }
 
-TEST(ShardedFallback, WatchdogPinsConservativeWindows)
+/** The fields a serial fallback of a 4-shard request must report. */
+void
+expectSerialFallback(const Snapshot &s)
 {
-    // The hang watchdog polls at window barriers, so a watched run
-    // keeps its shards but runs lock-step windows: none widened, so
-    // none held back either.
+    EXPECT_TRUE(s.result.completed);
+    EXPECT_EQ(s.shardsUsed, 1u);
+    EXPECT_EQ(s.result.shardsRequested, 4u);
+    EXPECT_EQ(s.result.shardsUsed, 1u);
+    EXPECT_FALSE(s.result.shardFallback.empty());
+    EXPECT_EQ(s.result.windowsRun, 0u);
+}
+
+TEST(ShardedFallback, WatchdogRunsSerialWithDeferredGrants)
+{
+    // The hang watchdog schedules its checks on one queue, so a
+    // watched sharded request runs serially — but with deferred
+    // grants, which makes it the sharded run's serial oracle: its
+    // results equal the unwatched sharded run's.
     MachineConfig cfg = shardableConfig(Arch::PPC, 4);
+    Snapshot plain = runPoint(cfg, "FFT");
+    ASSERT_EQ(plain.shardsUsed, 4u);
     cfg.verify.watchdog = true;
     Snapshot s = runPoint(cfg, "FFT");
-    EXPECT_TRUE(s.result.completed);
-    EXPECT_EQ(s.shardsUsed, 4u);
-    EXPECT_GT(s.result.windowsRun, 0u);
-    EXPECT_EQ(s.result.windowsWidened, 0u);
-    EXPECT_EQ(s.result.windowFallbacks, 0u);
+    expectSerialFallback(s);
+    EXPECT_TRUE(serve::resultsIdentical(s.result, plain.result));
+    EXPECT_EQ(s.stats, plain.stats);
+}
+
+/** Read @p path whole; empty if it cannot be opened. */
+std::string
+slurp(const std::string &path)
+{
+    std::ifstream is(path, std::ios::binary);
+    std::ostringstream os;
+    os << is.rdbuf();
+    return os.str();
+}
+
+TEST(ShardedFallback, TracingRunsSerialWithDeferredGrants)
+{
+    // One tracer records the whole machine, so a traced sharded
+    // request runs serially with deferred grants: results equal the
+    // untraced sharded run's, and the exported trace and metrics are
+    // exactly a traced forceSyncDefer serial run's.
+    const std::string dir = ::testing::TempDir();
+    auto traced = [&](MachineConfig cfg, const std::string &tag) {
+        cfg.obs.enabled = true;
+        cfg.obs.chromeTraceFile = dir + "shard_fallback_" + tag +
+                                  ".trace.json";
+        cfg.obs.metricsFile = dir + "shard_fallback_" + tag +
+                              ".metrics.json";
+        return cfg;
+    };
+    MachineConfig cfg = shardableConfig(Arch::PPC, 4);
+    Snapshot plain = runPoint(cfg, "FFT");
+    ASSERT_EQ(plain.shardsUsed, 4u);
+    const MachineConfig sharded = traced(cfg, "sharded");
+    Snapshot s = runPoint(sharded, "FFT");
+    expectSerialFallback(s);
+    EXPECT_TRUE(serve::resultsIdentical(s.result, plain.result));
+    // The stats dump gains the tracer's own "obs." group; the rest is
+    // equal.
+    std::istringstream lines(s.stats);
+    std::string line, untraced;
+    bool saw_obs = false;
+    while (std::getline(lines, line)) {
+        if (line.rfind("obs.", 0) == 0)
+            saw_obs = true;
+        else
+            untraced += line + "\n";
+    }
+    EXPECT_TRUE(saw_obs);
+    EXPECT_EQ(untraced, plain.stats);
+
+    MachineConfig oracle_cfg = shardableConfig(Arch::PPC, 1);
+    oracle_cfg.forceSyncDefer = true;
+    const MachineConfig oracle = traced(oracle_cfg, "oracle");
+    Snapshot o = runPoint(oracle, "FFT");
+    EXPECT_TRUE(serve::resultsIdentical(s.result, o.result));
+    EXPECT_EQ(s.stats, o.stats);
+    const std::string trace = slurp(sharded.obs.chromeTraceFile);
+    const std::string metrics = slurp(sharded.obs.metricsFile);
+    EXPECT_GT(trace.size(), 1000u);
+    EXPECT_GT(metrics.size(), 100u);
+    EXPECT_EQ(trace, slurp(oracle.obs.chromeTraceFile));
+    EXPECT_EQ(metrics, slurp(oracle.obs.metricsFile));
+    for (const MachineConfig *c : {&sharded, &oracle}) {
+        std::remove(c->obs.chromeTraceFile.c_str());
+        std::remove(c->obs.metricsFile.c_str());
+    }
 }
 
 TEST(ShardedFallback, RecoveryArmedWithoutCrashKeepsShards)
@@ -318,9 +385,8 @@ TEST(ShardedWindows, SeededLookaheadsStayIdentical)
     // The identity matrix above runs at the default lookahead. Here a
     // seeded sweep varies what bounds the window width — network
     // flight latency and sync hand-off — together with the shard
-    // count and window plan (lock-step under the hang watchdog,
-    // adaptive otherwise); every draw must match its own serial
-    // oracle.
+    // count; every draw must match its own serial oracle, and every
+    // window must be counted as widened or held back.
     std::uint64_t x = 0x2545F4914F6CDD1Dull;
     auto next = [&x] {
         x ^= x << 13;
@@ -333,17 +399,13 @@ TEST(ShardedWindows, SeededLookaheadsStayIdentical)
         const Tick flight = 2 + next() % 60;
         const Tick handoff = 1 + next() % 48;
         const unsigned shards = shard_choices[next() % 3];
-        const bool watchdog = next() % 2 == 0;
         SCOPED_TRACE("flight=" + std::to_string(flight) +
                      " handoff=" + std::to_string(handoff) + " " +
-                     std::to_string(shards) + " shards, " +
-                     (watchdog ? "lock-step" : "adaptive") +
-                     " windows");
+                     std::to_string(shards) + " shards");
         auto cfg_for = [&](unsigned n) {
             MachineConfig cfg = shardableConfig(Arch::PPC, n);
             cfg.net.flightLatency = flight;
             cfg.syncHandoffTicks = handoff;
-            cfg.verify.watchdog = watchdog && n > 1;
             cfg.forceSyncDefer = n == 1;
             return cfg;
         };
@@ -353,9 +415,8 @@ TEST(ShardedWindows, SeededLookaheadsStayIdentical)
         EXPECT_EQ(s.shardsUsed, shards);
         EXPECT_TRUE(s.fallback.empty()) << s.fallback;
         EXPECT_GT(s.result.windowsRun, 0u);
-        if (watchdog) {
-            EXPECT_EQ(s.result.windowsWidened, 0u);
-        }
+        EXPECT_EQ(s.result.windowsWidened + s.result.windowFallbacks,
+                  s.result.windowsRun);
         EXPECT_EQ(s.instructions, serial.instructions);
         EXPECT_EQ(s.execTicks, serial.execTicks);
         EXPECT_EQ(s.stats, serial.stats);

@@ -167,6 +167,28 @@ TEST(SimPoint, EnvOverridesReachTheKey)
               std::string::npos);
 }
 
+TEST(SimPoint, TraceEnvIsSeenBeforePlanning)
+{
+    // CCNUMA_TRACE is read where the other overrides are, so the
+    // point's configuration already plans the traced run: serial,
+    // with the sharded run's deferred grants and key.
+    unsetenv("CCNUMA_TRACE");
+    const SimPoint plain =
+        makeSimPoint("FFT", Arch::HWC, 16, 0.05, 1.0, nullptr, 2);
+    ASSERT_EQ(plain.cfg.shardPlan().shards, 2u);
+    ASSERT_EQ(setenv("CCNUMA_TRACE", "1", 1), 0);
+    const SimPoint traced =
+        makeSimPoint("FFT", Arch::HWC, 16, 0.05, 1.0, nullptr, 2);
+    unsetenv("CCNUMA_TRACE");
+    EXPECT_TRUE(traced.cfg.obs.enabled);
+    EXPECT_EQ(traced.cfg.shards, 2u);
+    const ShardPlan plan = traced.cfg.shardPlan();
+    EXPECT_EQ(plan.shards, 1u);
+    EXPECT_NE(plan.fallback, nullptr);
+    EXPECT_TRUE(plan.deferredGrants);
+    EXPECT_EQ(traced.key().canonical, plain.key().canonical);
+}
+
 /**
  * The one-execution-path guarantee, end to end: expanding a campaign
  * and running it through CampaignRunner + cache yields results

@@ -383,6 +383,58 @@ TEST(Canonical, SerialFallbackKeysAsTheSerialRun)
     }
 }
 
+TEST(Canonical, DiagnosticFallbackKeepsTheShardedKey)
+{
+    // Tracing and the hang watchdog keep a sharded request on one
+    // queue, but with deferred grants: the run is the sharded run's
+    // serial oracle, so it keeps the key a sharded run had
+    // (sync.deferredGrants=1) and never takes the undeferred serial
+    // run's. A result-changing fallback (the checker) still wins.
+    const MachineConfig serial = MachineConfig::base();
+    MachineConfig sharded = serial;
+    sharded.shards = 2;
+    MachineConfig checker_only = sharded;
+    checker_only.verify.checker = true;
+    const char *checker_reason = checker_only.shardPlan().fallback;
+    ASSERT_NE(checker_reason, nullptr);
+    const Perturbation cases[] = {
+        {"tracing", [](MachineConfig &c) { c.obs.enabled = true; }},
+        {"watchdog",
+         [](MachineConfig &c) { c.verify.watchdog = true; }},
+    };
+    for (const Perturbation &p : cases) {
+        SCOPED_TRACE(p.name);
+        MachineConfig diag = sharded;
+        p.apply(diag);
+        const ShardPlan plan = diag.shardPlan();
+        EXPECT_EQ(plan.shards, 1u);
+        EXPECT_NE(plan.fallback, nullptr);
+        EXPECT_TRUE(plan.deferredGrants);
+        MachineConfig oracle = serial;
+        p.apply(oracle);
+        oracle.forceSyncDefer = true;
+        MachineConfig undeferred = serial;
+        p.apply(undeferred);
+        const PointKey k = keyFor(diag);
+        EXPECT_NE(k.canonical.find("sync.deferredGrants=1"),
+                  std::string::npos);
+        EXPECT_EQ(k.canonical, keyFor(oracle).canonical);
+        EXPECT_EQ(k.hash, keyFor(oracle).hash);
+        EXPECT_NE(k.canonical, keyFor(undeferred).canonical);
+
+        MachineConfig checked = diag;
+        checked.verify.checker = true;
+        EXPECT_FALSE(checked.shardPlan().deferredGrants);
+        EXPECT_STREQ(checked.shardPlan().fallback, checker_reason);
+    }
+    // Tracing is result-invariant: the traced sharded key is the
+    // untraced sharded key itself.
+    MachineConfig traced = sharded;
+    traced.obs.enabled = true;
+    EXPECT_EQ(keyFor(traced).canonical, keyFor(sharded).canonical);
+    EXPECT_EQ(keyFor(traced).hash, keyFor(sharded).hash);
+}
+
 TEST(Canonical, HashIsStableAcrossRuns)
 {
     // The hash must be stable across processes and hosts (it names

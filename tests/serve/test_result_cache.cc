@@ -119,6 +119,38 @@ TEST(ResultIo, LoadsResultsWithRetiredSpeculationCounters)
     EXPECT_EQ(back.windowsRun, r.windowsRun);
 }
 
+TEST(ResultIo, RejectsIntegersOutsideTheirFields)
+{
+    // A result read back must hold exactly what the document says, or
+    // be refused: a fraction, an infinity-sized number or a shard
+    // count past UINT_MAX must not be cast into the field.
+    const std::string doc = resultToJson(makeResult(5));
+    ASSERT_EQ(doc.back(), '}');
+    auto with = [&](const std::string &key, const std::string &value) {
+        // A repeated key reads as its first occurrence, so splice the
+        // bad member in front of the original one.
+        return "{\"" + key + "\":" + value + "," + doc.substr(1);
+    };
+    for (const char *bad : {"1e30", "-1e30", "2.5"}) {
+        SCOPED_TRACE(bad);
+        EXPECT_THROW(resultFromJson(with("escapedCorruptions", bad)),
+                     JsonError);
+    }
+    for (const char *key : {"shardsRequested", "shardsUsed"}) {
+        SCOPED_TRACE(key);
+        EXPECT_THROW(resultFromJson(with(key, "4294967296")),
+                     JsonError);
+        EXPECT_THROW(resultFromJson(with(key, "1.5")), JsonError);
+        EXPECT_EQ(resultFromJson(with(key, "4294967295")).shardsUsed,
+                  key == std::string("shardsUsed") ? 4294967295u
+                                                   : 1u);
+    }
+    // The signed field keeps its whole range, negative values too.
+    EXPECT_EQ(resultFromJson(with("escapedCorruptions", "-3"))
+                  .escapedCorruptions,
+              -3);
+}
+
 TEST(ResultCache, HitsAfterMiss)
 {
     ResultCache cache(1 << 20);

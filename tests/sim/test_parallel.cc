@@ -3,7 +3,10 @@
  * Thread pool and deterministic parallel-map tests (bench sweeps).
  */
 
+#include <algorithm>
 #include <atomic>
+#include <filesystem>
+#include <mutex>
 #include <numeric>
 #include <set>
 #include <stdexcept>
@@ -101,6 +104,36 @@ TEST(ParallelForIndex, PropagatesFirstException)
                                  throw std::runtime_error("boom");
                          }),
         std::runtime_error);
+}
+
+/** Threads in this process right now (Linux: /proc/self/task). */
+std::size_t
+liveThreads()
+{
+    std::size_t n = 0;
+    for ([[maybe_unused]] const auto &e :
+         std::filesystem::directory_iterator("/proc/self/task"))
+        ++n;
+    return n;
+}
+
+TEST(ParallelForIndex, StartsNoMoreWorkersThanIndices)
+{
+    // 64 jobs over 2 indices: only 2 workers could take anything, so
+    // only 2 threads may be started.
+    if (!std::filesystem::exists("/proc/self/task"))
+        GTEST_SKIP() << "needs /proc/self/task to count threads";
+    const std::size_t before = liveThreads();
+    std::mutex m;
+    std::set<std::thread::id> ids;
+    std::size_t peak = 0;
+    parallelForIndex(64, 2, [&](std::size_t) {
+        std::lock_guard<std::mutex> g(m);
+        ids.insert(std::this_thread::get_id());
+        peak = std::max(peak, liveThreads());
+    });
+    EXPECT_LE(ids.size(), 2u);
+    EXPECT_LE(peak, before + 2);
 }
 
 } // namespace
